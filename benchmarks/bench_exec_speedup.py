@@ -1,19 +1,20 @@
-"""Executor speedup: columnar batches + plan cache vs the seed row path.
+"""Executor speedup: column store + plan cache vs row store, replanned.
 
 The same canned reporting stream (the paper's Sec. II-C workload shape:
-repeated template instances over a column-oriented fact table) runs on two
-engines —
+repeated template instances over a fact table) runs on two engines.  The
+executor is the same; what selects its path is the table —
 
-* **fast**: ``batch_enabled=True`` with the prepared-statement plan cache
-  (repeats skip lexer/parser/binder/planner and execute numpy column
-  batches end-to-end), and
-* **base**: ``batch_enabled=False, plan_cache_size=0`` — the seed
-  row-at-a-time volcano executor, replanning every statement.
+* **fast**: ``sales`` is column-oriented, so scans stream numpy column
+  batches end-to-end, and the prepared-statement plan cache lets repeats
+  skip lexer/parser/binder/planner;
+* **base**: ``sales`` is row-oriented (the paper's row-store side), so
+  every operator runs its row-at-a-time body, and ``plan_cache_size=0``
+  replans every statement.
 
-Simulated results are identical either way (rows, columns, simulated
-elapsed time) — asserted on every run.  The headline is real wall-clock
-(process CPU) throughput; CI gates both the speedup floor and the plan
-cache's steady-state hit rate.
+Query results are identical either way (columns, rows, simulated elapsed
+time) — asserted on every run.  The headline is real wall-clock (process
+CPU) throughput; CI gates both the speedup floor and the plan cache's
+steady-state hit rate.
 
 Methodology mirrors bench_obs_overhead.py: process_time, GC pinned outside
 timed regions, strictly interleaved fast/base runs, ratio of minimums.
@@ -49,9 +50,8 @@ OUT_PATH = Path(__file__).parent / "out" / "BENCH_exec_speedup.json"
 REGIONS = ("north", "south", "east", "west")
 
 #: The canned catalog.  Deliberately mixed: simple vector-spec predicates
-#: (the seed path already vectorizes those scans), complex OR/arithmetic
-#: predicates (only the batch path vectorizes them), group-bys, a full
-#: no-limit sort, and a fact-dimension join.
+#: (spec masks), complex OR/arithmetic predicates (compiled batch
+#: expressions), group-bys, a full no-limit sort, and a fact-dimension join.
 QUERIES = [
     "select region, count(*), sum(amount) from sales "
     "where status = 'gold' group by region order by region",
@@ -71,16 +71,12 @@ QUERIES = [
 
 def build_engine(fast: bool) -> SqlEngine:
     cluster = MppCluster(num_dns=NUM_DNS)
-    engine = SqlEngine(
-        cluster,
-        batch_enabled=fast,
-        plan_cache_size=64 if fast else 0,
-    )
+    engine = SqlEngine(cluster, plan_cache_size=64 if fast else 0)
     rng = make_rng(31)
     engine.execute(
         "create table sales (sale_id int primary key, cust_id int, "
-        "region text, status text, amount double) "
-        "with (orientation = column)")
+        "region text, status text, amount double)"
+        + (" with (orientation = column)" if fast else ""))
     engine.execute(
         "create table customers (cust_id int primary key, segment text)")
     values = []
@@ -142,7 +138,7 @@ def main() -> None:
     _, warm_fast, _ = one_run(True)
     _, warm_base, _ = one_run(False)
     assert warm_fast == warm_base, \
-        "batch execution changed simulated results"
+        "column and row orientation disagree on query results"
     baseline = warm_base
 
     timings = {"fast": [], "base": []}
@@ -152,7 +148,7 @@ def main() -> None:
             elapsed_s, fingerprint, hit_rate = one_run(fast)
             timings[key].append(elapsed_s)
             assert fingerprint == baseline, \
-                "batch execution changed simulated results"
+                "column and row orientation disagree on query results"
             if fast:
                 hit_rates.append(hit_rate)
 

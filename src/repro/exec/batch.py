@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ExecutionError
+from repro.exec.vectorized import group_bounds
 from repro.optimizer.expr import (
     BoundBinary,
     BoundColumn,
@@ -69,18 +70,13 @@ class Batch:
                       for c in self.columns], int(mask.sum()))
 
 
-def _unbox(value):
-    return value.item() if hasattr(value, "item") else value
-
-
 def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
     """The batch->row bridge: the only place values unbox.
 
     NULL lanes materialize as ``None`` and numpy scalars unbox to Python
-    values, exactly like ``vector_scan_rows`` — the bridge output is
-    byte-identical to what the row path yields.  Columns unbox in bulk
-    (``ndarray.tolist`` converts at C speed and yields the same Python
-    values per element as ``.item()``).
+    values — the bridge output is byte-identical to what the row path
+    yields.  Columns unbox in bulk (``ndarray.tolist`` converts at C speed
+    and yields the same Python values per element as ``.item()``).
     """
     for batch in batches:
         cols = []
@@ -167,17 +163,13 @@ _ARITH = {
 }
 
 
-def _truth(vec: ColumnVector) -> np.ndarray:
-    """Lanes that are valid and truthy (SQL predicate acceptance)."""
+def truth_mask(vec: ColumnVector) -> np.ndarray:
+    """Lanes that are valid and truthy: the filter mask of a predicate
+    result (NULL and false lanes drop)."""
     data = vec.data
     if data.dtype != np.bool_:
         data = data.astype(bool)
     return data & vec.validity
-
-
-def truth_mask(vec: ColumnVector) -> np.ndarray:
-    """Filter mask for a predicate result: NULL and false lanes drop."""
-    return _truth(vec)
 
 
 def _const_vector(value: object, n: int) -> ColumnVector:
@@ -254,7 +246,7 @@ def compile_expr(expr: BoundExpr) -> Optional[BatchFn]:
         if expr.op == "not":
             def negate(batch: Batch) -> ColumnVector:
                 vec = fn(batch)
-                return ColumnVector(~_truth(vec), vec.validity)
+                return ColumnVector(~truth_mask(vec), vec.validity)
 
             return negate
         if expr.op == "-":
@@ -306,7 +298,7 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
     if op == "and":
         def and_(batch: Batch) -> ColumnVector:
             left, right = left_fn(batch), right_fn(batch)
-            lt, rt = _truth(left), _truth(right)
+            lt, rt = truth_mask(left), truth_mask(right)
             # Row interpreter: NULL left short-circuits to NULL; a false
             # left yields False; otherwise the right side decides.
             validity = left.validity & (~lt | right.validity)
@@ -316,7 +308,7 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
     if op == "or":
         def or_(batch: Batch) -> ColumnVector:
             left, right = left_fn(batch), right_fn(batch)
-            lt, rt = _truth(left), _truth(right)
+            lt, rt = truth_mask(left), truth_mask(right)
             data = lt | rt
             validity = data | (left.validity & right.validity)
             return ColumnVector(data, validity)
@@ -357,25 +349,21 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
 
 # -- partial aggregation --------------------------------------------------
 
-_STAR = object()
-
-
 def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
-    """Batch-native ``PPartialAgg``: group and accumulate over column lanes.
+    """The lane fold: ``PPartialAgg`` over column batches.
 
-    Only used when the shared vector fast path (``vector_partial_states``)
-    does not apply — there the row path does per-row Python accumulation,
-    and this kernel reproduces that math bit for bit:
+    Fills the same ``[count, total, min, max]`` cells as the row fold
+    (``operators._fold_rows``) and reproduces its math bit for bit:
 
     * sums accumulate with ``sum(values, start)`` — the same left-to-right
       float additions, in the same row order, as ``cell[1] += value``;
     * groups are created in first-seen row order (the NULL group
-      included), so state rows emit in exactly the row path's order;
+      included), so state rows emit in exactly the row fold's order;
     * counts skip NULL arguments, min/max compare the same values.
 
     Returns ``None`` when the shape is out of scope (multi-column group
-    keys, uncompilable arguments, object-typed group sources) — the caller
-    falls back to the row-path ``_aggregate``.
+    keys, uncompilable arguments, children that can carry object-typed
+    state columns) — the caller runs the row fold over bridged rows.
     """
     child = agg.child
     if not child.batch_mode:
@@ -383,7 +371,7 @@ def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
     from repro.exec import operators as ops
     if not isinstance(child, (ops.PScan, ops.PFilter)):
         # joins and state-shipping children can carry object-dtype columns
-        # whose lanes np.unique cannot order; stay on the row path there
+        # whose lanes np.unique cannot order; stay on the row fold there
         return None
     if len(agg.group_exprs) > 1:
         return None
@@ -392,46 +380,40 @@ def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
         group_fn = compile_expr(agg.group_exprs[0])
         if group_fn is None:
             return None
-    arg_fns: List[object] = []
+    arg_fns: List[Optional[BatchFn]] = []          # None = COUNT(*)
     for spec in agg.aggs:
         if spec.distinct or spec.func not in ("count", "sum", "avg",
                                               "min", "max"):
             return None
-        if spec.arg is None:
-            arg_fns.append(_STAR)
-            continue
-        fn = compile_expr(spec.arg)
-        if fn is None:
-            return None
+        fn = None
+        if spec.arg is not None:
+            fn = compile_expr(spec.arg)
+            if fn is None:
+                return None
         arg_fns.append(fn)
     return _partial_states_iter(agg, group_fn, arg_fns)
 
 
 def _partial_states_iter(agg, group_fn, arg_fns) -> Iterator[tuple]:
-    from repro.exec.operators import _entry_bytes
+    from repro.exec.operators import _new_cells, _op_memory
 
-    mem = entry_bytes = None
-    if getattr(agg, "wlm_ctx", None) is not None:
-        mem = agg.wlm_ctx.memory_for(agg)
-        entry_bytes = _entry_bytes(agg.schema)
+    mem, entry_bytes = _op_memory(agg)
     specs = agg.aggs
     states: dict = {}
-    ordered: List[tuple] = []
 
     def cells_for(key: tuple) -> List[list]:
         cells = states.get(key)
         if cells is None:
-            cells = states[key] = [[0, 0.0, None, None] for _ in specs]
-            ordered.append(key)
+            cells = states[key] = _new_cells(specs)
             if mem is not None:
                 mem.grow(entry_bytes)
         return cells
 
-    def feed(cells: List[list], member: np.ndarray, count: int,
+    def feed(cells: List[list], member: np.ndarray,
              arg_vecs: List[Optional[ColumnVector]]) -> None:
         for spec, cell, vec in zip(specs, cells, arg_vecs):
             if vec is None:                        # COUNT(*)
-                cell[0] += count
+                cell[0] += len(member)
                 continue
             mvalid = vec.validity[member]
             sub = member if mvalid.all() else member[mvalid]
@@ -442,7 +424,7 @@ def _partial_states_iter(agg, group_fn, arg_fns) -> Iterator[tuple]:
             func = spec.func
             if func in ("sum", "avg"):
                 # left-to-right adds from the running total: identical
-                # float rounding to the row path's per-row `+=`
+                # float rounding to the row fold's per-row `+=`
                 cell[1] = sum(vec.data[sub].tolist(), cell[1])
             elif func == "min":
                 low = min(vec.data[sub].tolist())
@@ -455,50 +437,28 @@ def _partial_states_iter(agg, group_fn, arg_fns) -> Iterator[tuple]:
 
     try:
         for batch in agg.child.batches():
-            arg_vecs = [None if fn is _STAR else fn(batch)
-                        for fn in arg_fns]
+            arg_vecs = [None if fn is None else fn(batch) for fn in arg_fns]
             if group_fn is None:
-                all_rows = np.arange(batch.n)
-                feed(cells_for(()), all_rows, batch.n, arg_vecs)
+                feed(cells_for(()), np.arange(batch.n), arg_vecs)
                 continue
             gvec = group_fn(batch)
-            validity = gvec.validity
-            n = batch.n
-            # dense group codes with the NULL group as its own bucket
-            if validity.all():
-                uniq, codes = np.unique(gvec.data, return_inverse=True)
-                n_groups = len(uniq)
-            elif not validity.any():
-                uniq = np.empty(0, dtype=gvec.data.dtype)
-                codes = np.zeros(n, dtype=np.int64)
-                n_groups = 0
-            else:
-                valid_idx = np.flatnonzero(validity)
-                uniq, inverse = np.unique(gvec.data[valid_idx],
-                                          return_inverse=True)
-                n_groups = len(uniq)
-                codes = np.full(n, n_groups, dtype=np.int64)
-                codes[valid_idx] = inverse
-            total = n_groups + (0 if validity.all() else 1)
-            # members of each code in ascending row order
-            order_idx = np.argsort(codes, kind="stable")
-            bounds = np.searchsorted(codes[order_idx], np.arange(total + 1))
-            # process codes by first occurrence so groups are created in
-            # first-seen row order, exactly like the row path's dict
-            first = np.full(total, n, dtype=np.int64)
-            np.minimum.at(first, codes, np.arange(n))
-            for code in np.argsort(first, kind="stable").tolist():
-                member = order_idx[bounds[code]:bounds[code + 1]]
-                if code < n_groups:
-                    key = (_unbox(uniq[code]),)
-                else:
-                    key = (None,)
-                feed(cells_for(key), member, int(len(member)), arg_vecs)
+            valid_idx = np.flatnonzero(gvec.validity)
+            uniq, order, bounds = group_bounds(gvec.data[valid_idx])
+            keys = [(value,) for value in uniq.tolist()]
+            members = [valid_idx[order[bounds[i]:bounds[i + 1]]]
+                       for i in range(len(keys))]
+            if len(valid_idx) < batch.n:           # the NULL group
+                keys.append((None,))
+                members.append(np.flatnonzero(~gvec.validity))
+            # each member list ascends, so its head is the group's first
+            # row: feeding by that creates groups in first-seen row order,
+            # exactly like the row fold's dict
+            for i in np.argsort([m[0] for m in members]).tolist():
+                feed(cells_for(keys[i]), members[i], arg_vecs)
         if not states and group_fn is None:
-            yield tuple((0, 0.0, None, None) for _ in specs)
-            return
-        for key in ordered:
-            yield key + tuple(tuple(cell) for cell in states[key])
+            states[()] = _new_cells(specs)     # empty state, nothing charged
+        for key, cells in states.items():
+            yield key + tuple(tuple(cell) for cell in cells)
     finally:
         if mem is not None:
             mem.finish()
@@ -546,7 +506,7 @@ def sort_indices(keys: List[Tuple[ColumnVector, bool]], n: int) -> np.ndarray:
 
 
 def sorted_batches(sort_op, collected: List[Batch]) -> Iterator[Batch]:
-    """Sort buffered batches and re-emit them in ``batch_size`` slices."""
+    """Sort buffered batches; re-emit in ``DEFAULT_BATCH_SIZE`` slices."""
     if not collected:
         return
     width = len(sort_op.schema)
@@ -554,9 +514,8 @@ def sorted_batches(sort_op, collected: List[Batch]) -> Iterator[Batch]:
     keys = [(fn(big), descending)
             for fn, descending in sort_op._batch_keys]
     order = sort_indices(keys, big.n)
-    step = max(1, int(sort_op.batch_size))
-    for start in range(0, big.n, step):
-        yield big.take(order[start:start + step])
+    for start in range(0, big.n, DEFAULT_BATCH_SIZE):
+        yield big.take(order[start:start + DEFAULT_BATCH_SIZE])
 
 
 # -- join probe -----------------------------------------------------------
@@ -596,7 +555,7 @@ def probe_batches(join, table) -> Iterator[Batch]:
 
 # -- activation pass ------------------------------------------------------
 
-def enable_batches(root, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+def enable_batches(root) -> None:
     """Mark every operator whose subtree can run in batch mode.
 
     Top-down: a ``LIMIT`` forbids batching in its whole subtree (it stops
@@ -606,21 +565,17 @@ def enable_batches(root, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
     expressions are cached on the operators, so a plan activated once (and
     then held in the plan cache) never recompiles.
     """
-    _activate(root, batch_size, allow=True)
+    _activate(root, allow=True)
 
 
-def _activate(op, batch_size: int, allow: bool) -> None:
+def _activate(op, allow: bool) -> None:
     from repro.exec import operators as ops
 
     if isinstance(op, ops.PLimit):
         allow = False
     for child in op.children():
-        _activate(child, batch_size, allow)
-    if not allow:
-        op.batch_mode = False
-        return
-    op.batch_size = batch_size
-    op.batch_mode = _can_batch(op, ops)
+        _activate(child, allow)
+    op.batch_mode = allow and _can_batch(op, ops)
 
 
 def _can_batch(op, ops) -> bool:
@@ -674,8 +629,8 @@ def _can_batch(op, ops) -> bool:
         op._batch_keys = keys
         return True
     if isinstance(op, ops.PPartialAgg):
-        # Reuses its own row/vector aggregation math and ships the state
-        # rows as object batches, so exchange serialization is batched.
+        # Folds lanes or bridged rows into the same cells and ships the
+        # state rows as object batches, so exchange serialization is batched.
         return True
     if isinstance(op, (ops.PFragment,)):
         return op.child.batch_mode

@@ -12,9 +12,7 @@ make the cut explicit:
   tables a :class:`~repro.storage.colstore.ColumnStore` the vectorized
   kernels can chew through;
 * predicate compilation from bound expression trees to the
-  :data:`~repro.exec.vectorized.PredicateSpec` form the kernels accept;
-* the vectorized fast paths used by ``PScan`` and ``PPartialAgg`` when a
-  fragment lands on a column-oriented shard.
+  :data:`~repro.exec.vectorized.PredicateSpec` form the kernels accept.
 
 The operator classes themselves (``PFragment``, ``PExchange``,
 ``PPartialAgg``/``PFinalAgg``) live in :mod:`repro.exec.operators`.
@@ -23,10 +21,9 @@ The operator classes themselves (``PFragment``, ``PExchange``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional
 
-from repro.exec.vectorized import (PredicateSpec, group_bounds, scan_filter,
-                                   selection_mask)
+from repro.exec.vectorized import PredicateSpec
 from repro.optimizer.expr import BoundBinary, BoundColumn, BoundConst, conjuncts
 from repro.storage.types import DataType
 
@@ -82,13 +79,11 @@ class ScanBinding:
     ``rows`` yields tuples in table-column order.  ``column_store`` is
     present for column-oriented tables scanned on a specific data node: it
     builds that shard's :class:`~repro.storage.colstore.ColumnStore`
-    snapshot on demand.  ``table_schema`` carries nullability and type
-    metadata the vectorized fast paths need.
+    snapshot on demand.
     """
 
     rows: Callable[[], Iterable[tuple]]
     column_store: Optional[Callable[[], object]] = None
-    table_schema: Optional[object] = None
 
 
 # -- predicate compilation ------------------------------------------------
@@ -116,154 +111,3 @@ def compile_predicates(predicate, schema) -> Optional[List[PredicateSpec]]:
             return None
         specs.append((schema[left.index].name, op, right.value))
     return specs
-
-
-# -- vectorized fast paths ------------------------------------------------
-
-def _unbox(value):
-    return value.item() if hasattr(value, "item") else value
-
-
-def vector_scan_rows(scan) -> Iterator[tuple]:
-    """Run a ``PScan`` through the vector kernels, yielding row tuples.
-
-    Uses :func:`selection_mask` directly (rather than ``scan_filter``) so
-    validity masks survive and NULLs materialize as ``None``, exactly like
-    the row-at-a-time path.
-    """
-    store = scan.vector_store()
-    names = [c.name for c in scan.schema]
-    preds = scan.vector_preds
-    needed = list(dict.fromkeys(names + [p[0] for p in preds]))
-    for chunk in store.scan_chunks(needed):
-        mask = selection_mask(chunk, preds)
-        if not mask.any():
-            continue
-        cols = [(chunk[name].data[mask], chunk[name].validity[mask])
-                for name in names]
-        for i in range(int(mask.sum())):
-            yield tuple(
-                _unbox(data[i]) if valid[i] else None for data, valid in cols
-            )
-
-
-def vector_partial_states(agg) -> Optional[Iterator[tuple]]:
-    """Vectorized ``PPartialAgg`` over a column-oriented shard scan.
-
-    Applicable when the child is a vector-capable scan, grouping is on at
-    most one plain column, and every referenced column is non-nullable (the
-    ``scan_filter`` kernel drops validity masks, so NULL-bearing columns
-    fall back to the row path).  Returns ``None`` when not applicable.
-    """
-    scan = agg.child
-    store_fn = getattr(scan, "vector_store", None)
-    preds = getattr(scan, "vector_preds", None)
-    tschema = getattr(scan, "table_schema", None)
-    if store_fn is None or preds is None or tschema is None:
-        return None
-    schema = scan.schema
-    group_names: List[str] = []
-    for g in agg.group_exprs:
-        if not isinstance(g, BoundColumn) or not (0 <= g.index < len(schema)):
-            return None
-        group_names.append(schema[g.index].name)
-    if len(group_names) > 1:
-        return None
-    agg_names: List[Optional[str]] = []
-    for spec in agg.aggs:
-        if spec.distinct or spec.func not in ("count", "sum", "avg", "min", "max"):
-            return None
-        if spec.arg is None:
-            agg_names.append(None)
-            continue
-        arg = spec.arg
-        if not isinstance(arg, BoundColumn) or not (0 <= arg.index < len(schema)):
-            return None
-        agg_names.append(schema[arg.index].name)
-    touched = (list(zip(agg_names, agg.aggs))
-               + [(n, None) for n in group_names]
-               + [(p[0], None) for p in preds])
-    for name, spec in touched:
-        if name is None:
-            continue
-        col = tschema.column(name)
-        if col.nullable and name != tschema.primary_key:
-            return None
-        if spec is not None and spec.func != "count" and not col.data_type.is_numeric:
-            return None
-    return _vector_partial_iter(scan, store_fn(), group_names, agg_names,
-                                agg.aggs, preds, agg=agg)
-
-
-def _vector_partial_iter(scan, store, group_names, agg_names, specs,
-                         preds, agg=None) -> Iterator[tuple]:
-    import numpy as np
-
-    needed = list(dict.fromkeys(
-        group_names + [n for n in agg_names if n is not None]))
-    if not needed:
-        needed = [scan.table_schema.primary_key]   # COUNT(*)-only: row counts
-    states: Dict[tuple, List[list]] = {}
-    order: List[tuple] = []
-    # Memory-governed queries charge each new group's state against the
-    # resource-group budget, exactly like the row-at-a-time path; the
-    # tracker spills on the DN this fragment runs on (agg._wlm_dn).
-    mem = entry_bytes = None
-    if agg is not None and getattr(agg, "wlm_ctx", None) is not None:
-        from repro.exec.operators import _entry_bytes as _width
-
-        mem = agg.wlm_ctx.memory_for(agg)
-        entry_bytes = _width(agg.schema)
-
-    def cells_for(key: tuple) -> List[list]:
-        cells = states.get(key)
-        if cells is None:
-            cells = states[key] = [[0, 0.0, None, None] for _ in specs]
-            order.append(key)
-            if mem is not None:
-                mem.grow(entry_bytes)
-        return cells
-
-    def update(cells: List[list], count: int, values: Dict[str, object]) -> None:
-        for cell, name, spec in zip(cells, agg_names, specs):
-            if name is None:                       # COUNT(*)
-                cell[0] += count
-                continue
-            vals = values[name]
-            cell[0] += int(len(vals))
-            if spec.func in ("sum", "avg"):
-                cell[1] += float(np.sum(vals))
-            elif spec.func == "min":
-                low = _unbox(vals.min())
-                if cell[2] is None or low < cell[2]:
-                    cell[2] = low
-            elif spec.func == "max":
-                high = _unbox(vals.max())
-                if cell[3] is None or high > cell[3]:
-                    cell[3] = high
-
-    try:
-        rows_in = 0
-        for batch in scan_filter(store, needed, preds):
-            n = int(len(batch[needed[0]]))
-            rows_in += n
-            if group_names:
-                gvals = batch[group_names[0]]
-                uniq, order_idx, bounds = group_bounds(gvals)
-                for i, gv in enumerate(uniq):
-                    member = order_idx[bounds[i]:bounds[i + 1]]
-                    update(cells_for((_unbox(gv),)), int(len(member)),
-                           {name: batch[name][member] for name in needed})
-            else:
-                update(cells_for(()), n, batch)
-        # The fast path bypasses the scan's own execute(); account its rows
-        # so profiling and learning feedback still see the fragment's scan
-        # volume.
-        scan.actual_rows += rows_in
-        if not order and not group_names:
-            cells_for(())                           # global agg over zero rows
-        for key in order:
-            yield key + tuple(tuple(cell) for cell in states[key])
-    finally:
-        if mem is not None:
-            mem.finish()

@@ -37,12 +37,11 @@ class PhysicalOp:
     #: and the simulated I/O time charged for them.
     spilled_bytes: int = 0
     spill_time_us: float = 0.0
-    #: Batch-mode flags set by :func:`repro.exec.batch.enable_batches`.
-    #: When on, ``execute()`` bridges the operator's counted batch stream
-    #: back to rows; batch-capable parents call :meth:`batches` directly so
-    #: column batches flow between operators without materializing tuples.
+    #: Set by :func:`repro.exec.batch.enable_batches`.  When on,
+    #: ``execute()`` bridges the operator's counted batch stream back to
+    #: rows; batch-capable parents call :meth:`batches` directly so column
+    #: batches flow between operators without materializing tuples.
     batch_mode: bool = False
-    batch_size: int = 1024
 
     def __init__(self, schema: Schema, estimated_rows: float = 0.0,
                  step_text: Optional[str] = None):
@@ -146,20 +145,25 @@ def _entry_bytes(schema: Schema) -> int:
             + ENTRY_OVERHEAD_BYTES)
 
 
-def _op_memory(op: PhysicalOp):
-    """(tracker, per-entry bytes) when the query is governed, else (None, 0)."""
+def _op_memory(op: PhysicalOp, schema: Optional[Schema] = None):
+    """(tracker, per-entry bytes) when the query is governed, else (None, 0).
+
+    Entries are sized by the operator's output schema unless ``schema``
+    names what actually resides in memory (a hash join's build side).
+    """
     if op.wlm_ctx is None:
         return None, 0
-    return op.wlm_ctx.memory_for(op), _entry_bytes(op.schema)
+    return (op.wlm_ctx.memory_for(op),
+            _entry_bytes(op.schema if schema is None else schema))
 
 
 class PScan(PhysicalOp):
     """Table scan over a row source supplied by the engine.
 
     When the engine binds a column store for this scan target (a
-    column-oriented table's shard) *and* the predicate compiled to vector
-    specs, execution runs through the vectorized kernels
-    (:mod:`repro.exec.vectorized`) instead of row-at-a-time evaluation.
+    column-oriented table's shard), :meth:`execute_batches` is the one
+    column scan: batch-mode parents consume it directly, and ``execute``
+    bridges it back to rows wherever a row-only parent sits above.
 
     A coordinator-side scan of a distributed table is not free: every raw
     tuple crosses the network from ``remote_sources`` shards before the
@@ -174,14 +178,13 @@ class PScan(PhysicalOp):
                  estimated_rows: float = 0.0, step_text: Optional[str] = None,
                  vector_store: Optional[Callable[[], object]] = None,
                  vector_preds: Optional[List[Tuple[str, str, object]]] = None,
-                 table_schema=None, remote_sources: int = 0, cost_model=None):
+                 remote_sources: int = 0, cost_model=None):
         super().__init__(schema, estimated_rows, step_text)
         self.table = table
         self.source = source
         self.predicate = predicate
         self.vector_store = vector_store
         self.vector_preds = vector_preds
-        self.table_schema = table_schema
         #: Shards drained over the wire (0 = the scan is node-local).
         self.remote_sources = remote_sources
         self.cost_model = cost_model
@@ -207,9 +210,11 @@ class PScan(PhysicalOp):
         if self.batch_mode:
             return self._bridge_rows()
         if self.vector_store is not None and self.vector_preds is not None:
-            from repro.exec.fragments import vector_scan_rows
+            # Not activated (a LIMIT sits above): same column scan, counted
+            # per row so ``actual_rows`` is exactly what the LIMIT pulled.
+            from repro.exec.batch import rows_from_batches
 
-            return self._count(vector_scan_rows(self))
+            return self._count(rows_from_batches(self.execute_batches()))
         rows = self._drain()
         if self.predicate is not None:
             predicate = self.predicate
@@ -383,14 +388,34 @@ class PHashJoin(PhysicalOp):
             return self._bridge_rows()
         return self._count(self._join())
 
+    def _build_table(self, mem, entry_bytes: int) -> Dict[tuple, List[tuple]]:
+        table: Dict[tuple, List[tuple]] = {}
+        for row in self.right.execute():
+            key = tuple(k.eval(row) for k in self.right_keys)
+            if any(v is None for v in key):
+                continue
+            table.setdefault(key, []).append(row)
+            if mem is not None:
+                mem.grow(entry_bytes)
+        return table
+
     def _join(self) -> Iterator[tuple]:
-        mem = None
-        if self.wlm_ctx is not None:
-            # The build side is what resides in memory: charge per right row.
-            mem = self.wlm_ctx.memory_for(self)
-            entry_bytes = _entry_bytes(self.right.schema)
+        mem, entry_bytes = _op_memory(self, self.right.schema)
         try:
-            yield from self._join_inner(mem, entry_bytes if mem else 0)
+            table = self._build_table(mem, entry_bytes)
+            null_pad = (None,) * len(self.right.schema)
+            residual = self.residual
+            for lrow in self.left.execute():
+                key = tuple(k.eval(lrow) for k in self.left_keys)
+                matched = False
+                if not any(v is None for v in key):
+                    for rrow in table.get(key, ()):
+                        combined = lrow + rrow
+                        if residual is None or residual.eval(combined):
+                            matched = True
+                            yield combined
+                if not matched and self.kind == "left":
+                    yield lrow + null_pad
         finally:
             if mem is not None:
                 mem.finish()
@@ -404,47 +429,12 @@ class PHashJoin(PhysicalOp):
         """
         from repro.exec.batch import probe_batches
 
-        mem = None
-        entry_bytes = 0
-        if self.wlm_ctx is not None:
-            mem = self.wlm_ctx.memory_for(self)
-            entry_bytes = _entry_bytes(self.right.schema)
+        mem, entry_bytes = _op_memory(self, self.right.schema)
         try:
-            table: Dict[tuple, List[tuple]] = {}
-            for row in self.right.execute():
-                key = tuple(k.eval(row) for k in self.right_keys)
-                if any(v is None for v in key):
-                    continue
-                table.setdefault(key, []).append(row)
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            yield from probe_batches(self, table)
+            yield from probe_batches(self, self._build_table(mem, entry_bytes))
         finally:
             if mem is not None:
                 mem.finish()
-
-    def _join_inner(self, mem, entry_bytes: int) -> Iterator[tuple]:
-        table: Dict[tuple, List[tuple]] = {}
-        for row in self.right.execute():
-            key = tuple(k.eval(row) for k in self.right_keys)
-            if any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(row)
-            if mem is not None:
-                mem.grow(entry_bytes)
-        null_pad = (None,) * len(self.right.schema)
-        residual = self.residual
-        for lrow in self.left.execute():
-            key = tuple(k.eval(lrow) for k in self.left_keys)
-            matched = False
-            if not any(v is None for v in key):
-                for rrow in table.get(key, ()):
-                    combined = lrow + rrow
-                    if residual is None or residual.eval(combined):
-                        matched = True
-                        yield combined
-            if not matched and self.kind == "left":
-                yield lrow + null_pad
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -491,54 +481,98 @@ class PNestedLoopJoin(PhysicalOp):
         return f"NestLoopJoin {self.kind}{cond}"
 
 
-class _Accumulator:
-    """State for one aggregate function over one group."""
-
-    __slots__ = ("func", "count", "total", "minimum", "maximum", "distinct_set")
-
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self.distinct_set = set() if distinct else None
-
-    def add(self, value: object) -> None:
-        if self.func == "count" and value is _STAR:
-            self.count += 1
-            return
-        if value is None:
-            return
-        if self.distinct_set is not None:
-            if value in self.distinct_set:
-                return
-            self.distinct_set.add(value)
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            self.total += value
-        elif self.func == "min":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        elif self.func == "max":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-
-    def result(self) -> object:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            return self.total if self.count else None
-        if self.func == "avg":
-            return self.total / self.count if self.count else None
-        if self.func == "min":
-            return self.minimum
-        if self.func == "max":
-            return self.maximum
-        raise ExecutionError(f"unknown aggregate {self.func!r}")
-
+# -- aggregate state ------------------------------------------------------
+#
+# One cell ``[count, total, minimum, maximum]`` per aggregate per group is
+# the only aggregate state in the plan executor: row input folds into it
+# with ``_partial_add`` (below), batch input with the lane fold in
+# :mod:`repro.exec.batch`, partial states merge with ``_merge_state``, and
+# ``_finalize_state`` reads the answer out.
 
 _STAR = object()
+
+
+def _new_cells(aggs: List[AggSpec]) -> List[List[object]]:
+    return [[0, 0.0, None, None] for _ in aggs]
+
+
+def _partial_add(cell: List[object], func: str, value: object) -> None:
+    if value is _STAR:
+        cell[0] += 1
+        return
+    if value is None:
+        return
+    cell[0] += 1
+    if func in ("sum", "avg"):
+        cell[1] += value
+    elif func == "min":
+        if cell[2] is None or value < cell[2]:
+            cell[2] = value
+    elif func == "max":
+        if cell[3] is None or value > cell[3]:
+            cell[3] = value
+
+
+def _merge_state(cell: List[object], state: tuple) -> None:
+    count, total, minimum, maximum = state
+    cell[0] += count
+    cell[1] += total
+    if minimum is not None and (cell[2] is None or minimum < cell[2]):
+        cell[2] = minimum
+    if maximum is not None and (cell[3] is None or maximum > cell[3]):
+        cell[3] = maximum
+
+
+def _finalize_state(cell: List[object], func: str) -> object:
+    count, total, minimum, maximum = cell
+    if func == "count":
+        return count
+    if func == "sum":
+        return total if count else None
+    if func == "avg":
+        return total / count if count else None
+    if func == "min":
+        return minimum
+    if func == "max":
+        return maximum
+    raise ExecutionError(f"unknown aggregate {func!r}")
+
+
+def _fold_rows(op) -> Iterator[Tuple[tuple, List[List[object]]]]:
+    """The row fold: ``(group key, cells)`` in first-seen group order.
+
+    Shared by :class:`PHashAggregate` and :class:`PPartialAgg`.  A
+    ``DISTINCT`` aggregate also keeps, per cell, the set of values it has
+    folded and skips repeats.  A global aggregate over zero rows still
+    yields one (empty) group.
+    """
+    mem, entry_bytes = _op_memory(op)
+    aggs, group_exprs = op.aggs, op.group_exprs
+    any_distinct = any(a.distinct for a in aggs)
+    try:
+        groups: Dict[tuple, List[List[object]]] = {}
+        seen: Dict[int, set] = {}       # id(cell) -> values folded into it
+        for row in op.child.execute():
+            key = tuple(g.eval(row) for g in group_exprs)
+            cells = groups.get(key)
+            if cells is None:
+                cells = groups[key] = _new_cells(aggs)
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            for spec, cell in zip(aggs, cells):
+                value = _STAR if spec.arg is None else spec.arg.eval(row)
+                if any_distinct and spec.distinct:
+                    values = seen.setdefault(id(cell), set())
+                    if value in values:
+                        continue
+                    values.add(value)
+                _partial_add(cell, spec.func, value)
+        if not groups and not group_exprs:
+            yield (), _new_cells(aggs)
+        yield from groups.items()
+    finally:
+        if mem is not None:
+            mem.finish()
 
 
 class PHashAggregate(PhysicalOp):
@@ -557,32 +591,10 @@ class PHashAggregate(PhysicalOp):
         return self._count(self._aggregate())
 
     def _aggregate(self) -> Iterator[tuple]:
-        mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[_Accumulator]] = {}
-            ordered_keys: List[tuple] = []
-            for row in self.child.execute():
-                key = tuple(g.eval(row) for g in self.group_exprs)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-                    groups[key] = accs
-                    ordered_keys.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for spec, acc in zip(self.aggs, accs):
-                    value = _STAR if spec.arg is None else spec.arg.eval(row)
-                    acc.add(value)
-            if not groups and not self.group_exprs:
-                # Global aggregate over zero rows still yields one row.
-                accs = [_Accumulator(a.func, a.distinct) for a in self.aggs]
-                yield tuple(acc.result() for acc in accs)
-                return
-            for key in ordered_keys:
-                yield key + tuple(acc.result() for acc in groups[key])
-        finally:
-            if mem is not None:
-                mem.finish()
+        aggs = self.aggs
+        for key, cells in _fold_rows(self):
+            yield key + tuple(_finalize_state(cell, spec.func)
+                              for cell, spec in zip(cells, aggs))
 
     def describe(self) -> str:
         return ("HashAggregate group=["
@@ -616,7 +628,7 @@ class PSort(PhysicalOp):
                 # sort last ascending, first descending.
                 for expr, descending in reversed(self.keys):
                     rows.sort(
-                        key=lambda row: _sort_key(expr.eval(row), descending),
+                        key=lambda row: _sort_key(expr.eval(row)),
                         reverse=descending,
                     )
                 yield from rows
@@ -651,11 +663,11 @@ class PSort(PhysicalOp):
         return f"Sort [{keys}]"
 
 
-def _sort_key(value: object, descending: bool):
+def _sort_key(value: object):
     if value is None:
         # (1, ...) sorts after every (0, ...): NULLs last when ascending;
         # with reverse=True this puts them first, matching DESC NULLS FIRST.
-        return (1, 0) if not descending else (1, 0)
+        return (1, 0)
     return (0, value)
 
 
@@ -762,7 +774,7 @@ class PExchange(PhysicalOp):
         self.child = children[0]
         self.cost_model = cost_model
         #: One-way hop latency this exchange's sender streams cross; see
-        #: ``PSeqScan.hop_us`` (``None`` = LAN, the single-region default).
+        #: ``PScan.hop_us`` (``None`` = LAN, the single-region default).
         self.hop_us: Optional[float] = None
 
     def children(self) -> Sequence[PhysicalOp]:
@@ -844,48 +856,6 @@ class PFragment(PhysicalOp):
         return f"Fragment dn{self.dn_index}"
 
 
-def _partial_add(cell: List[object], func: str, value: object) -> None:
-    if value is _STAR:
-        cell[0] += 1
-        return
-    if value is None:
-        return
-    cell[0] += 1
-    if func in ("sum", "avg"):
-        cell[1] += value
-    elif func == "min":
-        if cell[2] is None or value < cell[2]:
-            cell[2] = value
-    elif func == "max":
-        if cell[3] is None or value > cell[3]:
-            cell[3] = value
-
-
-def _merge_state(cell: List[object], state: tuple) -> None:
-    count, total, minimum, maximum = state
-    cell[0] += count
-    cell[1] += total
-    if minimum is not None and (cell[2] is None or minimum < cell[2]):
-        cell[2] = minimum
-    if maximum is not None and (cell[3] is None or maximum > cell[3]):
-        cell[3] = maximum
-
-
-def _finalize_state(cell: List[object], func: str) -> object:
-    count, total, minimum, maximum = cell
-    if func == "count":
-        return count
-    if func == "sum":
-        return total if count else None
-    if func == "avg":
-        return total / count if count else None
-    if func == "min":
-        return minimum
-    if func == "max":
-        return maximum
-    raise ExecutionError(f"unknown aggregate {func!r}")
-
-
 class PPartialAgg(PhysicalOp):
     """DN-side half of two-phase aggregation.
 
@@ -916,57 +886,24 @@ class PPartialAgg(PhysicalOp):
     def execute_batches(self):
         """Ship partial states as object batches across the exchange.
 
-        Aggregation math stays bit-identical to the row path: the shared
-        vector fast path is tried first (the row path would use it too);
-        otherwise the batch-native kernel accumulates over column lanes
-        with the row path's exact arithmetic; only then does the row-path
-        ``_aggregate`` run over bridged rows.
+        Batch input folds over column lanes (``partial_states_from_batches``,
+        the row fold's exact arithmetic); a shape the lane fold does not
+        cover runs the row fold over bridged rows.
         """
-        from repro.exec.batch import (batches_from_rows,
+        from repro.exec.batch import (DEFAULT_BATCH_SIZE, batches_from_rows,
                                       partial_states_from_batches)
-        from repro.exec.fragments import vector_partial_states
 
-        states = vector_partial_states(self)
-        if states is None:
-            states = partial_states_from_batches(self)
+        states = partial_states_from_batches(self)
         if states is None:
             states = self._aggregate()
         yield from batches_from_rows(states, len(self.schema),
-                                     self.batch_size)
+                                     DEFAULT_BATCH_SIZE)
 
     def _aggregate(self) -> Iterator[tuple]:
-        from repro.exec.fragments import vector_partial_states
-
-        fast = vector_partial_states(self)
-        if fast is not None:
-            yield from fast
-            return
-        mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[List[object]]] = {}
-            ordered: List[tuple] = []
-            for row in self.child.execute():
-                key = tuple(g.eval(row) for g in self.group_exprs)
-                cells = groups.get(key)
-                if cells is None:
-                    cells = groups[key] = [[0, 0.0, None, None]
-                                           for _ in self.aggs]
-                    ordered.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for spec, cell in zip(self.aggs, cells):
-                    value = _STAR if spec.arg is None else spec.arg.eval(row)
-                    _partial_add(cell, spec.func, value)
-            if not groups and not self.group_exprs:
-                # A global aggregate ships one (empty) state row per node, so
-                # the final aggregate sees every node even over zero rows.
-                yield tuple((0, 0.0, None, None) for _ in self.aggs)
-                return
-            for key in ordered:
-                yield key + tuple(tuple(cell) for cell in groups[key])
-        finally:
-            if mem is not None:
-                mem.finish()
+        # A global aggregate ships one (empty) state row per node, so the
+        # final aggregate sees every node even over zero rows.
+        for key, cells in _fold_rows(self):
+            yield key + tuple(tuple(cell) for cell in cells)
 
     def describe(self) -> str:
         return ("PartialAggregate group=["
@@ -1008,15 +945,14 @@ class PFinalAgg(PhysicalOp):
                 key = row[:n]
                 cells = groups.get(key)
                 if cells is None:
-                    cells = groups[key] = [[0, 0.0, None, None]
-                                           for _ in self.aggs]
+                    cells = groups[key] = _new_cells(self.aggs)
                     ordered.append(key)
                     if mem is not None:
                         mem.grow(entry_bytes)
                 for cell, state in zip(cells, row[n:]):
                     _merge_state(cell, state)
             if not groups and n == 0:
-                cells = [[0, 0.0, None, None] for _ in self.aggs]
+                cells = _new_cells(self.aggs)
                 yield tuple(_finalize_state(c, s.func)
                             for c, s in zip(cells, self.aggs))
                 return

@@ -6,12 +6,13 @@ SIMD unit here.  The kernels operate on
 :class:`~repro.storage.colstore.ColumnVector` chunks:
 
 * predicate evaluation producing boolean selection masks,
-* filtered materialization,
-* chunked aggregation (sum/min/max/count/avg) with group-by,
-
-and a row-at-a-time fallback exists in :mod:`repro.exec.operators`, so the
-ablation benchmark can compare the two — the classic row-store vs
-column-store gap on scan-heavy OLAP work.
+* filtered materialization (the spec-mask branch of ``PScan``),
+* one-pass group bucketing (``group_bounds``, used by the lane fold in
+  :mod:`repro.exec.batch`),
+* chunked whole-table aggregation (sum/min/max/count/avg) beside its
+  row-at-a-time reference, so the storage ablation benchmark can compare
+  the two — the classic row-store vs column-store gap on scan-heavy OLAP
+  work.
 """
 
 from __future__ import annotations
@@ -76,19 +77,6 @@ def scan_filter_vectors(store: ColumnStore, columns: Sequence[str],
         yield {name: ColumnVector(chunk[name].data[mask],
                                   chunk[name].validity[mask])
                for name in columns}
-
-
-def scan_filter(store: ColumnStore, columns: Sequence[str],
-                predicates: Sequence[PredicateSpec] = (),
-                obs=None) -> Iterable[Dict[str, np.ndarray]]:
-    """Like :func:`scan_filter_vectors` but yields bare data arrays.
-
-    Only safe when the caller knows the scanned columns carry no NULLs
-    (the validity mask is dropped, so NULL lanes would surface as their
-    encoded sentinels).  NULL-aware consumers want the vectors variant.
-    """
-    for vecs in scan_filter_vectors(store, columns, predicates, obs=obs):
-        yield {name: vec.data for name, vec in vecs.items()}
 
 
 def group_bounds(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,43 +149,6 @@ def aggregate(store: ColumnStore, column: str, func: str,
         vec = batch[column]
         state.update(vec.data[vec.validity])
     return state.result()
-
-
-def group_aggregate(store: ColumnStore, group_column: str, value_column: str,
-                    func: str, predicates: Sequence[PredicateSpec] = (),
-                    obs=None) -> Dict[object, Optional[float]]:
-    """Hash group-by over vector batches.
-
-    Buckets each chunk with one ``np.unique(..., return_inverse=True)``
-    pass (:func:`group_bounds`) instead of rescanning the chunk with a
-    boolean mask per distinct group — O(rows log rows) instead of
-    O(groups x rows).  NULL group keys collect under ``None``; NULL input
-    values are skipped, like the row path and SQL aggregates.
-    """
-    states: Dict[object, VectorAggState] = {}
-
-    def feed(key: object, vec: ColumnVector, member: np.ndarray) -> None:
-        state = states.get(key)
-        if state is None:
-            state = states[key] = VectorAggState(func)
-        valid = member[vec.validity[member]]
-        state.update(vec.data[valid])
-
-    for batch in scan_filter_vectors(store, [group_column, value_column],
-                                     predicates, obs=obs):
-        gvec = batch[group_column]
-        vvec = batch[value_column]
-        valid_idx = np.flatnonzero(gvec.validity)
-        if len(valid_idx):
-            uniq, order, bounds = group_bounds(gvec.data[valid_idx])
-            for i, group in enumerate(uniq):
-                member = valid_idx[order[bounds[i]:bounds[i + 1]]]
-                key = group.item() if isinstance(group, np.generic) else group
-                feed(key, vvec, member)
-        null_idx = np.flatnonzero(~gvec.validity)
-        if len(null_idx):
-            feed(None, vvec, null_idx)
-    return {key: state.result() for key, state in states.items()}
 
 
 def row_aggregate(rows: Iterable[dict], column: str, func: str,

@@ -318,7 +318,6 @@ class PhysicalPlanner:
         source = self.scan_source(plan.table, plan, dn_index)
         rows = source.rows if isinstance(source, ScanBinding) else source
         vector_store = getattr(source, "column_store", None)
-        table_schema = getattr(source, "table_schema", None)
         vector_preds = None
         if vector_store is not None:
             vector_preds = compile_predicates(plan.predicate, plan.schema)
@@ -328,12 +327,10 @@ class PhysicalPlanner:
             estimated_rows=est,
             step_text=plan.step_text(),
             # Keep the store even when the predicate didn't compile to
-            # vector specs: the row path gates on vector_preds as well, and
-            # the batch executor can still scan the store and evaluate the
-            # full predicate with its compiled batch expression.
+            # vector specs: the batch executor can still scan it and
+            # evaluate the full predicate with its compiled expression.
             vector_store=vector_store,
             vector_preds=vector_preds,
-            table_schema=table_schema,
             remote_sources=0 if dn_index is not None
             else self._remote_sources(plan.table),
             cost_model=self.cost_model,

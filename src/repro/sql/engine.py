@@ -77,9 +77,7 @@ class SqlEngine:
                  capture_settings: Optional[CaptureSettings] = None,
                  now_fn: Optional[Callable[[], int]] = None,
                  fragmented: bool = True,
-                 plan_cache_size: int = 64,
-                 batch_enabled: bool = True,
-                 batch_size: int = 1024):
+                 plan_cache_size: int = 64):
         self.cluster = cluster
         #: Cut query plans at exchange boundaries into per-DN fragments
         #: (FI-MPPDB's execution shape).  Off: every scan gathers all shards
@@ -109,12 +107,6 @@ class SqlEngine:
         #: parser, binder and planner and re-execute the cached physical
         #: plan.  ``plan_cache_size=0`` disables caching entirely.
         self.plan_cache = PlanCache(plan_cache_size)
-        #: Columnar batch execution: eligible operator subtrees stream
-        #: numpy column batches instead of Python row tuples.  Simulated
-        #: telemetry (profiles, metrics, WLM accounting) is byte-identical
-        #: either way; only wall-clock changes.
-        self.batch_enabled = batch_enabled
-        self.batch_size = batch_size
         #: Set around plan execution so cached plans (whose scan closures
         #: were built during an earlier statement) read the *current*
         #: statement's snapshot.
@@ -403,8 +395,7 @@ class SqlEngine:
                 def column_store(table=schema.name, dn=dn_index):
                     return current_txn().shard_column_store(table, dn)
 
-            return ScanBinding(rows, column_store=column_store,
-                               table_schema=schema)
+            return ScanBinding(rows, column_store=column_store)
 
         def table_function_rows(name: str, args: Tuple[object, ...]):
             impl = self.table_functions.get(name)
@@ -477,8 +468,10 @@ class SqlEngine:
                 logical = self._binder().bind_select(stmt)
                 physical = self._planner(txn).plan(logical)
                 columns = [c.name for c in logical.schema]
-                if self.batch_enabled:
-                    enable_batches(physical, self.batch_size)
+                # Eligible subtrees (column-oriented scans under
+                # compilable expressions, no LIMIT above) stream numpy
+                # column batches; everything else keeps its row bodies.
+                enable_batches(physical)
             profiler.attach(physical)
             if self._wlm_ctx is not None:
                 attach_to_plan(self._wlm_ctx, physical)

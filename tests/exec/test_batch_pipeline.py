@@ -2,12 +2,16 @@
 
 Covers the two bugfix satellites directly:
 
-* the many-groups regression — ``group_aggregate`` must bucket groups with
-  one ``np.unique(..., return_inverse=True)`` pass instead of re-scanning
-  the chunk per group (the old path was O(groups x rows));
+* the many-groups regression — the lane fold must bucket groups with one
+  ``np.unique(..., return_inverse=True)`` pass (``group_bounds``) instead
+  of re-scanning the chunk per group (the old path was O(groups x rows));
 * NULL semantics — the vectorized/batch kernels and the row executor must
   agree on SQL three-valued logic; the parametrized suite runs the same
   query through both executors and requires identical rows.
+
+The row reference is an engine whose plans are never activated: a no-op
+stands in for ``repro.sql.engine.enable_batches``, so every operator runs
+its row body.
 """
 
 import time
@@ -15,16 +19,20 @@ import time
 import numpy as np
 import pytest
 
+import repro.sql.engine as engine_mod
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import (
     Batch,
     batches_from_rows,
     concat_batches,
+    enable_batches,
     rows_from_batches,
     sort_indices,
 )
-from repro.exec.operators import walk_physical
-from repro.exec.vectorized import group_aggregate, group_bounds, row_aggregate
+from repro.exec.operators import PPartialAgg, PScan, walk_physical
+from repro.exec.vectorized import group_bounds, row_aggregate
+from repro.optimizer.expr import BoundColumn
+from repro.optimizer.logical import AggSpec, ColumnInfo
 from repro.sql.engine import SqlEngine
 from repro.storage.colstore import ColumnStore, ColumnVector
 from repro.storage.table import Column, TableSchema
@@ -34,7 +42,9 @@ from repro.storage.types import DataType
 # -- satellite: many-groups regression -------------------------------------
 
 class TestManyGroups:
-    def _store(self, rows: int, groups: int) -> ColumnStore:
+    def _partial_agg(self, rows: int, groups: int, func: str) -> PPartialAgg:
+        """``select g, func(v) from m group by g`` as a DN-side partial
+        aggregate over a column-store scan (4 chunks at 200k rows)."""
         schema = TableSchema(
             "m", [Column("id", DataType.INT), Column("g", DataType.INT),
                   Column("v", DataType.DOUBLE)], "id")
@@ -43,32 +53,38 @@ class TestManyGroups:
             {"id": i, "g": i % groups, "v": float(i % 97)}
             for i in range(rows)
         ])
-        return cs
+        scan_schema = [ColumnInfo("g", None, DataType.INT),
+                       ColumnInfo("v", None, DataType.DOUBLE)]
+        scan = PScan("m", lambda: (), scan_schema,
+                     vector_store=lambda: cs, vector_preds=[])
+        return PPartialAgg(
+            scan, [BoundColumn(0, "g", DataType.INT)],
+            [AggSpec(func, BoundColumn(1, "v", DataType.DOUBLE))],
+            scan_schema)
 
-    def test_many_groups_matches_row_path(self):
-        cs = self._store(rows=5000, groups=701)
-        vector = group_aggregate(cs, "g", "v", "sum")
-        # row-at-a-time reference, computed directly
-        expected = {}
-        for row in cs.scan_rows():
-            g, v = row["g"], row["v"]
-            expected[g] = expected.get(g, 0.0) + v
-        assert set(vector) == set(expected)
-        for key in expected:
-            assert vector[key] == pytest.approx(expected[key])
+    def test_many_groups_matches_row_fold(self):
+        lane = self._partial_agg(rows=5000, groups=701, func="sum")
+        enable_batches(lane)
+        row = self._partial_agg(rows=5000, groups=701, func="sum")
+        states = list(lane.execute())
+        assert len(states) == 701
+        # same groups, same first-seen order, bit-identical states
+        assert states == list(row.execute())
 
     def test_many_groups_is_not_quadratic(self):
-        # 200k rows x 20k groups: the old per-group boolean-mask rescan
-        # performs ~4e9 element comparisons (tens of seconds); the bucketed
-        # path is one argsort.  A generous wall-clock ceiling catches the
+        # 200k rows x 20k groups: a per-group boolean-mask rescan performs
+        # ~4e9 element comparisons (tens of seconds); the bucketed path is
+        # one argsort per chunk.  A generous wall-clock ceiling catches the
         # regression without being timing-flaky.
-        cs = self._store(rows=200_000, groups=20_000)
+        agg = self._partial_agg(rows=200_000, groups=20_000, func="count")
+        enable_batches(agg)
+        assert agg.child.batch_mode
         start = time.perf_counter()
-        result = group_aggregate(cs, "g", "v", "count")
+        states = list(agg.execute())
         elapsed = time.perf_counter() - start
-        assert len(result) == 20_000
-        assert sum(result.values()) == 200_000
-        assert elapsed < 5.0, f"group_aggregate took {elapsed:.1f}s"
+        assert len(states) == 20_000
+        assert sum(state[0] for _, state in states) == 200_000
+        assert elapsed < 5.0, f"lane fold took {elapsed:.1f}s"
 
     def test_group_bounds_partitions_exactly(self):
         keys = np.array([3, 1, 3, 2, 1, 1, 3], dtype=np.int64)
@@ -110,48 +126,58 @@ NULL_PREDICATES = [
 ]
 
 
-def _engine(batch_enabled: bool) -> SqlEngine:
+#: The rows of ``t``: NULLs in g (every 7th), v (every 5th), w (every 4th).
+T_ROWS = [(i, None if i % 7 == 0 else "abc"[i % 3],
+           None if i % 5 == 0 else i * 2, None if i % 4 == 0 else i)
+          for i in range(60)]
+
+
+def _engine() -> SqlEngine:
     cluster = MppCluster(num_dns=2)
-    engine = SqlEngine(cluster, batch_enabled=batch_enabled,
-                       plan_cache_size=0)
+    engine = SqlEngine(cluster, plan_cache_size=0)
     engine.execute(
         "create table t (id int primary key, g text, v int, w int) "
         "with (orientation = column)")
-    values = []
-    for i in range(60):
-        g = "null" if i % 7 == 0 else f"'{'abc'[i % 3]}'"
-        v = "null" if i % 5 == 0 else str(i * 2)
-        w = "null" if i % 4 == 0 else str(i)
-        values.append(f"({i}, {g}, {v}, {w})")
-    engine.execute("insert into t values " + ", ".join(values))
+    engine.execute("insert into t values " + ", ".join(
+        "(" + ", ".join("null" if x is None else repr(x) for x in row) + ")"
+        for row in T_ROWS))
     engine.analyze()
     return engine
 
 
 @pytest.fixture(scope="module")
-def engines():
-    return _engine(batch_enabled=True), _engine(batch_enabled=False)
+def engine():
+    return _engine()
+
+
+@pytest.fixture
+def row_rows(engine, monkeypatch):
+    """Rows of a statement on the row reference: the same engine (it
+    plans afresh per statement, ``plan_cache_size=0``) with the plan left
+    un-activated."""
+    def run(sql):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_mod, "enable_batches", lambda root: None)
+            return engine.execute(sql).rows
+    return run
 
 
 class TestNullSemanticsSharedByBothPaths:
     @pytest.mark.parametrize("predicate", NULL_PREDICATES)
-    def test_filter_agreement(self, engines, predicate):
-        batch, row = engines
+    def test_filter_agreement(self, engine, row_rows, predicate):
         sql = f"select id, g, v, w from t where {predicate} order by id"
-        assert batch.execute(sql).rows == row.execute(sql).rows
+        assert engine.execute(sql).rows == row_rows(sql)
 
     @pytest.mark.parametrize("predicate", NULL_PREDICATES[:6])
-    def test_aggregate_agreement(self, engines, predicate):
-        batch, row = engines
+    def test_aggregate_agreement(self, engine, row_rows, predicate):
         sql = (f"select g, count(*), sum(v) from t where {predicate} "
                "group by g order by g")
-        assert batch.execute(sql).rows == row.execute(sql).rows
+        assert engine.execute(sql).rows == row_rows(sql)
 
-    def test_null_sort_keys_agree(self, engines):
-        batch, row = engines
+    def test_null_sort_keys_agree(self, engine, row_rows):
         for direction in ("asc", "desc"):
             sql = f"select id, v from t order by v {direction}, id"
-            assert batch.execute(sql).rows == row.execute(sql).rows
+            assert engine.execute(sql).rows == row_rows(sql)
 
     def test_row_aggregate_skips_null_like_vector(self):
         schema = TableSchema("n", [Column("id", DataType.INT),
@@ -206,7 +232,7 @@ class TestBatchBridges:
             order = sort_indices([(vec, descending)], len(values))
             reference = sorted(
                 range(len(values)),
-                key=lambda i: _sort_key(values[i], descending),
+                key=lambda i: _sort_key(values[i]),
                 reverse=descending,
             )
             # index-exact: ties must keep input order in both paths
@@ -215,32 +241,71 @@ class TestBatchBridges:
 
 # -- activation rules -------------------------------------------------------
 
-class TestActivation:
-    def _plan(self, engine, sql):
-        from repro.sql.parser import parse
-        from repro.exec.batch import enable_batches
-        txn = engine.cluster.session().begin(multi_shard=True)
-        try:
-            physical = engine.plan_select(parse(sql), txn)
-        finally:
-            txn.commit()
+def _activated_plan(engine, sql):
+    """``(plan, rows)``: ``sql`` planned, activated and run to the end."""
+    from repro.sql.parser import parse
+    txn = engine.cluster.session().begin(multi_shard=True)
+    try:
+        physical = engine.plan_select(parse(sql), txn)
         enable_batches(physical)
-        return physical
+        rows = list(physical.execute())
+    finally:
+        txn.commit()
+    return physical, rows
 
-    def test_limit_subtree_stays_row_mode(self, engines):
-        batch, _ = engines
-        physical = self._plan(
-            batch, "select id from t where v > 4 order by v limit 3")
+
+class TestActivation:
+    def test_limit_subtree_stays_row_mode(self, engine):
+        physical, _ = _activated_plan(
+            engine, "select id from t where v > 4 order by v limit 3")
         from repro.exec import operators as ops
         for op in walk_physical(physical):
             if isinstance(op, (ops.PScan, ops.PSort)):
                 assert not op.batch_mode
 
-    def test_scan_batches_complex_predicates(self, engines):
-        batch, _ = engines
-        physical = self._plan(
-            batch, "select id from t where v > 4 or g = 'a'")
+    def test_scan_batches_complex_predicates(self, engine):
+        physical, _ = _activated_plan(
+            engine, "select id from t where v > 4 or g = 'a'")
         from repro.exec import operators as ops
         scans = [op for op in walk_physical(physical)
                  if isinstance(op, ops.PScan)]
         assert scans and all(op.batch_mode for op in scans)
+
+
+# -- the bridged scan under a LIMIT ----------------------------------------
+
+#: rows of ``t`` that satisfy ``v > 4``
+MATCHING = [row for row in T_ROWS if row[2] is not None and row[2] > 4]
+
+
+class TestLimitOverColumnScan:
+    """Under a ``LIMIT`` the scan's row body is the column scan bridged to
+    rows and counted per row — the only scan a column shard has."""
+
+    def _scans(self, physical):
+        scans = [op for op in walk_physical(physical)
+                 if isinstance(op, PScan)]
+        assert scans and all(op.vector_preds is not None
+                             and not op.batch_mode for op in scans)
+        return scans
+
+    def test_unsorted_limit_is_count_exact(self, engine, row_rows):
+        sql = "select id, g, v, w from t where v > 4 limit 9"
+        physical, rows = _activated_plan(engine, sql)
+        assert rows == row_rows(sql) == engine.execute(sql).rows
+        assert len(rows) == 9 and set(rows) <= set(MATCHING)
+        # NULL lanes are None, everything else a plain Python value
+        assert any(None in row for row in rows)
+        assert {type(v) for row in rows for v in row} <= {int, str, type(None)}
+        # the scans produced exactly the rows the LIMIT pulled, no chunk more
+        assert sum(op.actual_rows for op in self._scans(physical)) == 9
+
+    def test_sorted_limit_drains_the_scan(self, engine, row_rows):
+        sql = ("select id, g, v, w from t where v > 4 "
+               "order by v desc, id limit 3")
+        physical, rows = _activated_plan(engine, sql)
+        assert rows == row_rows(sql) == engine.execute(sql).rows
+        assert rows == sorted(MATCHING, key=lambda r: (-r[2], r[0]))[:3]
+        assert {type(v) for row in rows for v in row} <= {int, str, type(None)}
+        assert (sum(op.actual_rows for op in self._scans(physical))
+                == len(MATCHING))

@@ -1,10 +1,12 @@
-"""Replay identity: batch execution + plan cache vs the seed row path.
+"""Replay identity: batch execution + plan cache vs the row bodies.
 
 Mirrors tests/htap/test_replay_identity.py: the same TPC-C-lite + reporting
-workload runs once with the fast path on (columnar batches, plan cache) and
-once with both disabled (the seed executor), and every query-visible
-surface must match byte for byte — result rows, per-operator profile row
-counts, simulated elapsed time, wait accounting, metric counters, the
+workload runs once as shipped (columnar batches, plan cache) and once as
+the row reference — no plan cache and a no-op in place of
+``repro.sql.engine.enable_batches``, so no plan is ever activated and every
+operator runs its row body.  Every query-visible surface must match byte
+for byte: result rows, per-operator profile row counts, simulated elapsed
+time, wait accounting, metric counters, the
 slow-query log, and the learning optimizer's plan-store contents (captured
 step keys and observed cardinalities).
 
@@ -12,6 +14,9 @@ Batching only changes *wall-clock*; every simulated quantity is a pure
 function of row counts, which the batch pipeline reproduces exactly.
 """
 
+import pytest
+
+import repro.sql.engine as engine_mod
 from repro.cluster.mpp import MppCluster
 from repro.exec.operators import walk_physical
 from repro.sql.engine import SqlEngine
@@ -19,7 +24,7 @@ from repro.workloads.tpcc_lite import TpccLiteWorkload, load_tpcc
 
 
 REPORTING = [
-    # simple vector-spec predicate (seed already vectorizes the scan)
+    # simple vector-spec predicate (spec masks, bridged in the reference)
     "select count(*) from order_line where ol_quantity >= 5",
     # complex predicate: only the batch path vectorizes this scan
     "select w_id, sum(ol_amount), count(*) from order_line "
@@ -46,12 +51,16 @@ MUTATIONS = [
 
 
 def _run(fast: bool):
+    if fast:
+        return _run_workload(plan_cache_size=64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_mod, "enable_batches", lambda root: None)
+        return _run_workload(plan_cache_size=0)
+
+
+def _run_workload(plan_cache_size: int):
     cluster = MppCluster(num_dns=2)
-    engine = SqlEngine(
-        cluster,
-        batch_enabled=fast,
-        plan_cache_size=64 if fast else 0,
-    )
+    engine = SqlEngine(cluster, plan_cache_size=plan_cache_size)
     cluster.obs.slowlog.threshold_us = 0.0
     load_tpcc(cluster, num_warehouses=2,
               column_oriented=("orders", "order_line"))

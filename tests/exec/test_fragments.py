@@ -9,7 +9,6 @@ time plus the exchange's network cost.
 
 import pytest
 
-import repro.exec.fragments as fragments_mod
 from repro.cluster import MppCluster
 from repro.exec.operators import (
     PExchange,
@@ -119,19 +118,6 @@ class TestAcceptance:
 
 
 class TestVectorizedPath:
-    def test_partial_agg_uses_vector_kernels(self, engine, monkeypatch):
-        calls = []
-        real = fragments_mod.scan_filter
-
-        def spy(store, columns, predicates, obs=None):
-            calls.append(columns)
-            return real(store, columns, predicates, obs=obs)
-
-        monkeypatch.setattr(fragments_mod, "scan_filter", spy)
-        result = engine.execute(AGG_SQL)
-        assert sorted(result.rows) == expected_groups()
-        assert len(calls) == NUM_DNS, "one vectorized scan per fragment"
-
     def test_row_oriented_table_matches(self):
         row_eng = build_engine(orientation="row")
         col_eng = build_engine(orientation="column")

@@ -129,11 +129,16 @@ class TestAggregateSortLimit:
         assert list(op.execute()) == [(0, None)]
 
     def test_distinct_aggregate(self):
-        child = values([(1, 5), (1, 5), (1, 7)], "g", "v")
+        # value sets are per group and per aggregate: 5 counts once in each
+        # group, and the plain SUM beside them still sees every row
+        child = values([(1, 5), (1, 5), (1, 7), (2, 5), (2, None), (2, 5)],
+                       "g", "v")
         op = PHashAggregate(child, [col(0)],
-                            [AggSpec("count", col(1), distinct=True)],
-                            schema("g", "n"))
-        assert list(op.execute()) == [(1, 2)]
+                            [AggSpec("count", col(1), distinct=True),
+                             AggSpec("sum", col(1), distinct=True),
+                             AggSpec("sum", col(1))],
+                            schema("g", "n", "ds", "s"))
+        assert list(op.execute()) == [(1, 2, 12.0, 17.0), (2, 1, 5.0, 10.0)]
 
     def test_sort_multi_key_mixed_direction(self):
         child = values([(1, "b"), (2, "a"), (1, "a")], "n", "s")

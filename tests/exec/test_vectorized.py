@@ -6,9 +6,8 @@ import pytest
 from repro.common.errors import ExecutionError
 from repro.exec.vectorized import (
     aggregate,
-    group_aggregate,
     row_aggregate,
-    scan_filter,
+    scan_filter_vectors,
     selection_mask,
 )
 from repro.storage.colstore import ColumnStore
@@ -33,24 +32,24 @@ def store():
 
 class TestScanFilter:
     def test_filtering(self, store):
-        total = sum(len(b["id"]) for b in scan_filter(store, ["id"],
-                                                      [("v", ">", 249.0)]))
+        total = sum(len(b["id"]) for b in scan_filter_vectors(
+            store, ["id"], [("v", ">", 249.0)]))
         assert total == 50
 
     def test_multiple_predicates_anded(self, store):
-        batches = list(scan_filter(store, ["id"],
-                                   [("v", ">=", 100.0), ("v", "<", 110.0),
-                                    ("g", "=", "g0")]))
-        ids = np.concatenate([b["id"] for b in batches])
+        batches = list(scan_filter_vectors(
+            store, ["id"],
+            [("v", ">=", 100.0), ("v", "<", 110.0), ("g", "=", "g0")]))
+        ids = np.concatenate([b["id"].data for b in batches])
         assert sorted(ids.tolist()) == [100, 104, 108]
 
     def test_unknown_predicate_column(self, store):
         with pytest.raises(Exception):
-            list(scan_filter(store, ["id"], [("zz", "=", 1)]))
+            list(scan_filter_vectors(store, ["id"], [("zz", "=", 1)]))
 
     def test_bad_operator(self, store):
         with pytest.raises(ExecutionError):
-            list(scan_filter(store, ["id"], [("v", "~", 1)]))
+            list(scan_filter_vectors(store, ["id"], [("v", "~", 1)]))
 
 
 class TestAggregates:
@@ -66,13 +65,6 @@ class TestAggregates:
 
     def test_empty_result(self, store):
         assert aggregate(store, "v", "sum", [("v", ">", 10_000.0)]) is None
-
-    def test_group_aggregate(self, store):
-        groups = group_aggregate(store, "g", "v", "count")
-        assert groups == {"g0": 75.0, "g1": 75.0, "g2": 75.0, "g3": 75.0}
-        sums = group_aggregate(store, "g", "v", "sum", [("v", "<", 8.0)])
-        assert sums == {"g0": 0.0 + 4.0, "g1": 1.0 + 5.0,
-                        "g2": 2.0 + 6.0, "g3": 3.0 + 7.0}
 
 
 class TestRowFallbackEquivalence:
