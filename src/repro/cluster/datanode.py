@@ -204,6 +204,11 @@ class DataNode:
             self._n_rows += 1
         return row
 
+    def scan_position(self, table: str, key: object) -> int:
+        """Where a live ``key`` sits in this node's scan order (the heap's
+        arrival stamp), so point reads can be returned as a scan would."""
+        return self.heap(table).stamp_of(key)
+
     def _require_writable(self) -> None:
         if self.read_only:
             raise ShardReadOnly(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import (
     InvalidTransactionState,
@@ -278,14 +278,49 @@ class _BaseTransaction:
         coerced = schema.coerce_row(row)
         return self._route_value(coerced[schema.distribution_column])
 
-    def _route_key(self, table: str, key: object) -> Tuple[int, Optional[int]]:
-        return self._route_value(self._schema(table).dist_value_of_key(key))
+    def _route_key(self, table: str, key: object,
+                   row: Optional[Dict[str, object]] = None
+                   ) -> Tuple[int, Optional[int]]:
+        """Route a point write.  ``row`` — the row as the caller located
+        it — supplies the distribution value where the key alone cannot
+        (``distribute by hash(<non-pk column>)``)."""
+        schema = self._schema(table)
+        if row is not None:
+            return self._route_value(row[schema.distribution_column])
+        return self._route_value(schema.dist_value_of_key(key))
 
     def _shard_for_row(self, table: str, row: Dict[str, object]) -> int:
         return self._route_row(table, row)[0]
 
     def _shard_for_key(self, table: str, key: object) -> int:
         return self._route_key(table, key)[0]
+
+    def _read_on(self, dn, table: str, key: object, view, xid: int):
+        """A point read of one node's slice: what a scan of that slice
+        would return for ``key`` (rows in a shard-map-excluded slot stay
+        hidden, exactly as :meth:`_scan_filter` hides them from scans; a
+        key that routed itself went to its slot's owner, where nothing
+        is excluded)."""
+        values = dn.read(table, key, view, xid)
+        if values is not None:
+            keep = self._scan_filter(table, dn.index)
+            if keep is not None and not keep(values):
+                return None
+        return values
+
+    def read_many(self, table: str, keys: Sequence[object],
+                  dn_index: int) -> List[Tuple[object, Dict[str, object]]]:
+        """Point-read ``keys`` on one node; the visible ``(key, values)``
+        hits come back in the order a scan of that node yields them."""
+        hits = []
+        for key in keys:
+            values = self.read(table, key, dn_index)
+            if values is not None:
+                hits.append((key, values))
+        if len(hits) > 1:
+            dn = self._cluster.dns[dn_index]
+            hits.sort(key=lambda hit: dn.scan_position(table, hit[0]))
+        return hits
 
     def _scan_filter(self, table: str, dn_index: int):
         """Row predicate hiding shard-map-excluded slots on this node.
@@ -447,7 +482,8 @@ class LocalTransaction(_BaseTransaction):
             raise TransactionAborted(self.poisoned)
         return dn
 
-    def _local_write_target(self, schema, table: str, key: object) -> int:
+    def _local_write_target(self, schema, table: str, key: object,
+                            row: Optional[Dict[str, object]] = None) -> int:
         """Route a single-shard point write, promoting when it cannot stay
         single-shard (replicated table on a multi-node cluster, or a slot
         inside a rebalance double-write window)."""
@@ -457,7 +493,7 @@ class LocalTransaction(_BaseTransaction):
                     "writing a replicated table is a multi-shard operation"
                 )
             return self._cluster.dn_indices()[0]
-        owner, moving = self._route_key(table, key)
+        owner, moving = self._route_key(table, key, row)
         if moving is not None:
             raise TransactionPromotionRequired(
                 "slot is rebalancing; the write must double-write to "
@@ -467,11 +503,15 @@ class LocalTransaction(_BaseTransaction):
 
     # -- operations ----------------------------------------------------------
 
-    def read(self, table: str, key: object) -> Optional[Dict[str, object]]:
+    def read(self, table: str, key: object,
+             dn_index: Optional[int] = None) -> Optional[Dict[str, object]]:
+        """Point read.  ``dn_index`` names the node to probe (a plan
+        fragment's site); without it the key routes itself."""
         self._require_running()
         self._charge_cn()
-        schema = self._schema(table)
-        if schema.distribution is Distribution.REPLICATION:
+        if dn_index is not None:
+            dn = self._bind(dn_index)
+        elif self._schema(table).distribution is Distribution.REPLICATION:
             dn = self._bind(self._dn_index if self._dn_index is not None
                             else self._cluster.dn_indices()[0])
         else:
@@ -479,7 +519,7 @@ class LocalTransaction(_BaseTransaction):
         self._charge_dn_stmt(dn.index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_scan += 1
         self._last_wait_event = WAIT_DN_SCAN
-        return dn.read(table, key, self.snapshot, self.xid)
+        return self._read_on(dn, table, key, self.snapshot, self.xid)
 
     def insert(self, table: str, row: Dict[str, object]) -> None:
         self._require_running()
@@ -504,21 +544,23 @@ class LocalTransaction(_BaseTransaction):
         self._last_wait_event = WAIT_DN_APPLY
         dn.insert(table, row, self.xid, self.snapshot)
 
-    def update(self, table: str, key: object, values: Dict[str, object]) -> None:
+    def update(self, table: str, key: object, values: Dict[str, object],
+               row: Optional[Dict[str, object]] = None) -> None:
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
-        dn = self._bind(self._local_write_target(schema, table, key))
+        dn = self._bind(self._local_write_target(schema, table, key, row))
         self._charge_dn_stmt(dn.index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_apply += 1
         self._last_wait_event = WAIT_DN_APPLY
         dn.update(table, key, values, self.xid, self.snapshot)
 
-    def delete(self, table: str, key: object) -> None:
+    def delete(self, table: str, key: object,
+               row: Optional[Dict[str, object]] = None) -> None:
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
-        dn = self._bind(self._local_write_target(schema, table, key))
+        dn = self._bind(self._local_write_target(schema, table, key, row))
         self._charge_dn_stmt(dn.index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_apply += 1
         self._last_wait_event = WAIT_DN_APPLY
@@ -686,20 +728,23 @@ class GlobalTransaction(_BaseTransaction):
 
     # -- operations ---------------------------------------------------------
 
-    def read(self, table: str, key: object) -> Optional[Dict[str, object]]:
+    def read(self, table: str, key: object,
+             dn_index: Optional[int] = None) -> Optional[Dict[str, object]]:
+        """Point read.  ``dn_index`` names the node to probe (a plan
+        fragment's site); without it the key routes itself."""
         self._require_running()
         self._charge_cn()
-        schema = self._schema(table)
-        if schema.distribution is Distribution.REPLICATION:
-            dn_index = (min(self._local_xid) if self._local_xid
-                        else self._cluster.dn_indices()[0])
-        else:
-            dn_index = self._shard_for_key(table, key)
+        if dn_index is None:
+            if self._schema(table).distribution is Distribution.REPLICATION:
+                dn_index = (min(self._local_xid) if self._local_xid
+                            else self._cluster.dn_indices()[0])
+            else:
+                dn_index = self._shard_for_key(table, key)
         dn, lxid, view = self._attach(dn_index)
         self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_scan += 1
         self._last_wait_event = WAIT_DN_SCAN
-        return dn.read(table, key, view, lxid)
+        return self._read_on(dn, table, key, view, lxid)
 
     def _apply_on(self, dn_index: int, op) -> None:
         """Charge + apply one write statement on one participant."""
@@ -730,7 +775,8 @@ class GlobalTransaction(_BaseTransaction):
             self._apply_on(moving, lambda dn, lxid, view:
                            dn.insert(table, row, lxid, view))
 
-    def update(self, table: str, key: object, values: Dict[str, object]) -> None:
+    def update(self, table: str, key: object, values: Dict[str, object],
+               row: Optional[Dict[str, object]] = None) -> None:
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
@@ -739,7 +785,7 @@ class GlobalTransaction(_BaseTransaction):
                 self._apply_on(dn_index, lambda dn, lxid, view:
                                dn.update(table, key, values, lxid, view))
             return
-        owner, moving = self._route_key(table, key)
+        owner, moving = self._route_key(table, key, row)
         self._apply_on(owner, lambda dn, lxid, view:
                        dn.update(table, key, values, lxid, view))
         if moving is not None:
@@ -754,7 +800,8 @@ class GlobalTransaction(_BaseTransaction):
                                if dn.read(table, key, view, lxid) is not None
                                else dn.insert(table, dict(image), lxid, view))
 
-    def delete(self, table: str, key: object) -> None:
+    def delete(self, table: str, key: object,
+               row: Optional[Dict[str, object]] = None) -> None:
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
@@ -763,7 +810,7 @@ class GlobalTransaction(_BaseTransaction):
                 self._apply_on(dn_index, lambda dn, lxid, view:
                                dn.delete(table, key, lxid, view))
             return
-        owner, moving = self._route_key(table, key)
+        owner, moving = self._route_key(table, key, row)
         self._apply_on(owner, lambda dn, lxid, view:
                        dn.delete(table, key, lxid, view))
         if moving is not None:

@@ -21,7 +21,7 @@ The operator classes themselves (``PFragment``, ``PExchange``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.exec.vectorized import PredicateSpec
 from repro.optimizer.expr import BoundBinary, BoundColumn, BoundConst, conjuncts
@@ -48,12 +48,16 @@ class Locus:
       modulo, everything else by repr-hash), and every slot has one owner
       in the map, so equal keys of equal type always land on the same DN —
       even mid-rebalance, because a slot's owner flips atomically for all
-      tables at once.
+      tables at once.  ``dns`` narrows a hash locus to the data nodes that
+      can hold its rows at all (a key lookup pruned through the shard
+      map); ``None`` means every member, and an exchange over the locus
+      instantiates fragments on those nodes only.
     """
 
     kind: str                          # 'singleton' | 'replicated' | 'hash'
     key: Optional[str] = None
     key_type: Optional[DataType] = None
+    dns: Optional[Tuple[int, ...]] = None
 
     @property
     def is_partitioned(self) -> bool:
@@ -79,11 +83,14 @@ class ScanBinding:
     ``rows`` yields tuples in table-column order.  ``column_store`` is
     present for column-oriented tables scanned on a specific data node: it
     builds that shard's :class:`~repro.storage.colstore.ColumnStore`
-    snapshot on demand.
+    snapshot on demand.  ``lookup(sites)`` is the keyed source behind
+    ``KeyLookup``: the visible rows of the ``(dn_index, keys)`` probes in
+    ``sites``, in the order a scan of those nodes would yield them.
     """
 
     rows: Callable[[], Iterable[tuple]]
     column_store: Optional[Callable[[], object]] = None
+    lookup: Optional[Callable[[tuple], Iterable[tuple]]] = None
 
 
 # -- predicate compilation ------------------------------------------------

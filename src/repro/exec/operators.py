@@ -266,7 +266,8 @@ class PScan(PhysicalOp):
         width = row_width_bytes(getattr(c, "data_type", None)
                                 for c in self.schema)
         cpu = (OPEN_COST_US + BATCH_COST_US * batches
-               + DEFAULT_ROW_COST_US["Scan"] * (self.scanned_rows + rows_out))
+               + DEFAULT_ROW_COST_US[self.name()]
+               * (self.scanned_rows + rows_out))
         return cpu + exchange_cost_us(model, self.scanned_rows, width,
                                       edges=self.remote_sources,
                                       hop_us=self.hop_us)
@@ -279,6 +280,45 @@ class PScan(PhysicalOp):
     def describe(self) -> str:
         pred = f" [{self.predicate.text()}]" if self.predicate is not None else ""
         return f"SeqScan {self.table}{pred}"
+
+
+class PKeyLookup(PScan):
+    """Primary-key probes in place of the scan they replace.
+
+    ``sites`` is the planner's answer to *where the keys live* —
+    ``(dn_index, keys)`` pairs in the order a scan would visit the nodes
+    (:func:`repro.optimizer.access.key_sites`) — and ``source(sites)``
+    fetches the visible rows, each node's hits in heap arrival order, so
+    the leaf emits the rows ``SeqScan`` would have, in the same order.
+    The whole pushed-down predicate still runs on every fetched row.
+
+    Costed like the scan: per-row CPU at the ``Scan`` rate, and a
+    coordinator-side lookup (``remote_sources > 0``) pays for the fetched
+    rows crossing the wire.
+    """
+
+    def __init__(self, table: str, sites, source, schema: Schema,
+                 predicate: BoundExpr,
+                 estimated_rows: float = 0.0, step_text: Optional[str] = None,
+                 remote_sources: int = 0, cost_model=None):
+        super().__init__(table, lambda: source(sites), schema,
+                         predicate=predicate, estimated_rows=estimated_rows,
+                         step_text=step_text, remote_sources=remote_sources,
+                         cost_model=cost_model)
+        self.sites = sites
+
+    @property
+    def dn_index(self) -> Optional[int]:
+        """The one data node this lookup touches, if it is only one."""
+        return self.sites[0][0] if len(self.sites) == 1 else None
+
+    def execute(self) -> Iterator[tuple]:
+        predicate = self.predicate
+        return self._count(
+            row for row in self._drain() if predicate.eval(row))
+
+    def describe(self) -> str:
+        return f"KeyLookup {self.table} [{self.predicate.text()}]"
 
 
 class PTableFunction(PhysicalOp):

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an exec -> optimizer cycle
 #: Simulated per-row execution cost (microseconds) by operator name.
 DEFAULT_ROW_COST_US: Dict[str, float] = {
     "Scan": 0.05,
+    "KeyLookup": 0.05,       # the Scan rate: a probe costs what a row did
     "TableFunction": 0.05,
     "Values": 0.01,
     "Filter": 0.02,

@@ -7,6 +7,10 @@ Performs the classic lowering decisions:
 * exchange placement — the MPP cost model decides whether the build side of
   a join is broadcast (small side) or both sides are redistributed on the
   join key, and a gather feeds the coordinator at the root;
+* access path — a scan whose pushed-down predicate pins the primary key
+  (``pk = const`` / ``pk IN (consts)``, :mod:`repro.optimizer.access`)
+  becomes a ``KeyLookup`` probing only the data nodes the shard map says
+  own those keys; everything else stays a ``SeqScan``;
 * cardinality annotation — every operator carries the estimate that the
   learning optimizer later compares against ``actual_rows``.
 
@@ -35,7 +39,7 @@ into one observation per logical step).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import PlanningError
 from repro.exec.fragments import (
@@ -55,6 +59,7 @@ from repro.exec.operators import (
     PFragment,
     PHashAggregate,
     PHashJoin,
+    PKeyLookup,
     PLimit,
     PNestedLoopJoin,
     PPartialAgg,
@@ -65,6 +70,7 @@ from repro.exec.operators import (
     PValues,
     PhysicalOp,
 )
+from repro.optimizer import access
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.expr import (
     BoundBinary,
@@ -109,18 +115,20 @@ class PhysicalPlanner:
         table_schema: Optional[Callable[[str], object]] = None,
         cost_model=None,
         fragmented: bool = False,
-        dn_indices: Optional[Sequence[int]] = None,
+        shard_map=None,
     ):
         self.estimator = estimator
         self.scan_source = scan_source
         self.table_function_rows = table_function_rows
         self.insert_exchanges = insert_exchanges
-        #: Active DN indices fragments are scheduled on.  With a shard map
-        #: the membership can be sparse (retired indices absent) and grow
-        #: (added DNs) — the engine passes ``cluster.dn_indices()`` so
-        #: fragment fan-out follows live membership, not ``range(num_dns)``.
-        if dn_indices is not None:
-            self.dn_indices: Tuple[int, ...] = tuple(dn_indices)
+        #: The catalog's :class:`~repro.cluster.shardmap.ShardMap`.  Its
+        #: membership is the set of DN indices fragments are scheduled on
+        #: (sparse after a scale-in, growing after a scale-out — not
+        #: ``range(num_dns)``), and its slot owners prune key lookups.  The
+        #: plan cache pins the map's version, so both stay current.
+        self.shard_map = shard_map
+        if shard_map is not None:
+            self.dn_indices: Tuple[int, ...] = tuple(shard_map.members())
             self.num_dns = max(1, len(self.dn_indices))
         else:
             self.num_dns = max(1, int(num_dns))
@@ -151,7 +159,7 @@ class PhysicalPlanner:
             build, locus = self._lower_dist(optimized)
             if locus.is_partitioned:
                 est = self.estimator.estimate(optimized)
-                return self._exchange("gather", build, est)()
+                return self._exchange("gather", build, est, locus.dns)()
             # Output is already coordinator-side (or replicated, served from
             # one node): the top-level gather would move nothing.
             return build(None)
@@ -178,18 +186,7 @@ class PhysicalPlanner:
     def _lower(self, plan: LogicalPlan) -> PhysicalOp:
         est = self.estimator.estimate(plan)
         if isinstance(plan, LogicalScan):
-            source = self.scan_source(plan.table, plan)
-            rows = source.rows if isinstance(source, ScanBinding) else source
-            return PScan(
-                plan.table,
-                rows,
-                plan.schema,
-                predicate=plan.predicate,
-                estimated_rows=est,
-                step_text=plan.step_text(),
-                remote_sources=self._remote_sources(plan.table),
-                cost_model=self.cost_model,
-            )
+            return self._make_scan(plan, est, None, self._key_sites(plan))
         if isinstance(plan, LogicalTableFunction):
             if self.table_function_rows is None:
                 raise PlanningError(
@@ -276,14 +273,18 @@ class PhysicalPlanner:
     # new operator instances, so a broadcast side re-instantiated inside
     # every fragment never shares row counters between sites.
 
-    def _exchange(self, kind: str, builder: FragmentBuilder,
-                  est: float) -> Callable[[], PExchange]:
-        """A maker for ``kind`` exchange collecting one fragment per DN."""
+    def _exchange(self, kind: str, builder: FragmentBuilder, est: float,
+                  dns: Optional[Tuple[int, ...]] = None
+                  ) -> Callable[[], PExchange]:
+        """A maker for ``kind`` exchange collecting one fragment per DN —
+        per DN in ``dns`` when the input's locus is pruned to those."""
         gid = self._next_fragment_group()
+        if dns is None:
+            dns = self.dn_indices
 
         def make() -> PExchange:
             frags = [PFragment(builder(i), dn_index=i, group_id=gid)
-                     for i in self.dn_indices]
+                     for i in dns]
             return PExchange(kind, frags, estimated_rows=est,
                              cost_model=self.cost_model)
 
@@ -293,8 +294,12 @@ class PhysicalPlanner:
                      est: float) -> Callable[[], PhysicalOp]:
         """A maker for this subplan's rows on the coordinator."""
         if locus.is_partitioned:
-            return self._exchange("gather", builder, est)
+            return self._exchange("gather", builder, est, locus.dns)
         return lambda: builder(None)
+
+    def _per_dn(self, est: float, dns: Optional[Tuple[int, ...]]) -> float:
+        """One fragment's share of ``est`` rows spread over a locus' nodes."""
+        return est / (self.num_dns if dns is None else len(dns))
 
     def _remote_sources(self, table: str) -> int:
         """Shards a coordinator-side scan of ``table`` drains over the wire.
@@ -313,9 +318,39 @@ class PhysicalPlanner:
             return 1
         return self.num_dns
 
+    def _key_sites(self, plan: LogicalScan) -> Optional[access.KeySites]:
+        """Where ``plan``'s predicate pins its rows: ``(dn, keys)`` probes
+        from the shard map, or ``None`` when only a scan will do."""
+        if self.table_schema is None:
+            return None
+        return access.lookup_sites(plan.predicate,
+                                   self.table_schema(plan.table),
+                                   self.shard_map)
+
     def _make_scan(self, plan: LogicalScan, est: float,
-                   dn_index: Optional[int]) -> PScan:
+                   dn_index: Optional[int],
+                   sites: Optional[access.KeySites] = None) -> PScan:
+        """The leaf for one execution site: ``KeyLookup`` over ``sites``
+        (narrowed to ``dn_index`` inside a fragment), else ``SeqScan``."""
         source = self.scan_source(plan.table, plan, dn_index)
+        lookup = getattr(source, "lookup", None)
+        if sites is not None and lookup is not None:
+            if dn_index is not None:
+                if self.table_schema(plan.table).distribution \
+                        is Distribution.REPLICATION:
+                    # Any replica serves the read: this fragment's own.
+                    sites = ((dn_index, sites[0][1]),)
+                else:
+                    sites = tuple(s for s in sites if s[0] == dn_index)
+            return PKeyLookup(
+                plan.table, sites, lookup, plan.schema,
+                predicate=plan.predicate,
+                estimated_rows=est,
+                step_text=plan.step_text(),
+                remote_sources=len(sites)
+                if dn_index is None and self.num_dns > 1 else 0,
+                cost_model=self.cost_model,
+            )
         rows = source.rows if isinstance(source, ScanBinding) else source
         vector_store = getattr(source, "column_store", None)
         vector_preds = None
@@ -338,13 +373,14 @@ class PhysicalPlanner:
 
     def _lower_dist(self, plan: LogicalPlan) -> Tuple[FragmentBuilder, Locus]:
         est = self.estimator.estimate(plan)
-        num = self.num_dns
 
         if isinstance(plan, LogicalScan):
             schema_t = self.table_schema(plan.table)
+            sites = self._key_sites(plan)
             if schema_t.distribution is Distribution.REPLICATION:
-                def build(dn: Optional[int], plan=plan, est=est) -> PhysicalOp:
-                    return self._make_scan(plan, est, dn)
+                def build(dn: Optional[int], plan=plan, est=est,
+                          sites=sites) -> PhysicalOp:
+                    return self._make_scan(plan, est, dn, sites)
 
                 return build, REPLICATED
             key = ktype = None
@@ -354,17 +390,19 @@ class PhysicalPlanner:
                     ktype = info.data_type
                     break
             gid = self._next_capture_group()
-            per = est / num
+            # A key lookup narrows the locus to the nodes that own its keys.
+            dns = None if sites is None else tuple(dn for dn, _ in sites)
+            per = self._per_dn(est, dns)
 
             def build(dn: Optional[int], plan=plan, est=est, per=per,
-                      gid=gid) -> PhysicalOp:
+                      gid=gid, sites=sites) -> PhysicalOp:
                 if dn is None:
-                    return self._make_scan(plan, est, None)
-                scan = self._make_scan(plan, per, dn)
+                    return self._make_scan(plan, est, None, sites)
+                scan = self._make_scan(plan, per, dn, sites)
                 scan.capture_group = gid
                 return scan
 
-            return build, Locus("hash", key, ktype)
+            return build, Locus("hash", key, ktype, dns)
 
         if isinstance(plan, LogicalTableFunction):
             if self.table_function_rows is None:
@@ -388,7 +426,7 @@ class PhysicalPlanner:
         if isinstance(plan, LogicalFilter):
             cb, cl = self._lower_dist(plan.child)
             gid = self._next_capture_group()
-            per = est / num
+            per = self._per_dn(est, cl.dns)
 
             def build(dn: Optional[int], plan=plan, est=est, per=per,
                       gid=gid, cb=cb, cl=cl) -> PhysicalOp:
@@ -407,8 +445,9 @@ class PhysicalPlanner:
             locus = cl
             if cl.is_partitioned:
                 key = self._project_key(plan, cl.key)
-                locus = Locus("hash", key, cl.key_type if key else None)
-            per = est / num
+                locus = Locus("hash", key, cl.key_type if key else None,
+                              cl.dns)
+            per = self._per_dn(est, cl.dns)
 
             def build(dn: Optional[int], plan=plan, est=est, per=per,
                       cb=cb, cl=cl) -> PhysicalOp:
@@ -455,7 +494,7 @@ class PhysicalPlanner:
                            est=est, cb=cb) -> PhysicalOp:
                     return PLimit(cb(dn), plan.limit, estimated_rows=est)
 
-                inner = self._exchange("gather", pbuild, est)
+                inner = self._exchange("gather", pbuild, est, cl.dns)
             else:
                 inner = (lambda cb=cb: cb(None))
 
@@ -511,7 +550,7 @@ class PhysicalPlanner:
                 return PPartialAgg(cb(dn), plan.group_exprs, plan.aggs,
                                    plan.schema, estimated_rows=per_est)
 
-            exch = self._exchange("gather", pbuild, exch_est)
+            exch = self._exchange("gather", pbuild, exch_est, cl.dns)
 
             def build(dn: Optional[int], plan=plan, est=est,
                       exch=exch) -> PhysicalOp:
@@ -595,17 +634,17 @@ class PhysicalPlanner:
         # 1. Co-located equi join: both sides partitioned on the join key —
         #    matching rows are already on the same node, no exchange at all.
         if hashable and self._colocated(ll, rl, left_keys, right_keys):
-            return per_dn_build(Locus("hash", ll.key, ll.key_type))
+            return per_dn_build(ll)
 
         # 2. A replicated side joins in place on every node.  (A replicated
         #    *left* side of a LEFT join may not run per-DN: unmatched left
         #    rows would be emitted once per node.)
         if (ll.kind == "hash" and rl.kind == "replicated"
                 and plan.kind in ("inner", "left", "cross")):
-            return per_dn_build(Locus("hash", ll.key, ll.key_type))
+            return per_dn_build(ll)
         if (ll.kind == "replicated" and rl.kind == "hash"
                 and plan.kind in ("inner", "cross")):
-            return per_dn_build(Locus("hash", rl.key, rl.key_type))
+            return per_dn_build(rl)
         if ll.kind == "replicated" and rl.kind == "replicated":
             def build(dn: Optional[int]) -> PhysicalOp:
                 return join_of(lb(dn), rb(dn), est)
@@ -624,7 +663,7 @@ class PhysicalPlanner:
                                   cost_model=self.cost_model)
                 return join_of(lb(dn), bcast, per_est, group=True)
 
-            return build, Locus("hash", ll.key, ll.key_type)
+            return build, ll
 
         # 4. Mirrored: broadcast a small left side (inner joins only — the
         #    broadcast copy would duplicate LEFT-join null padding).
@@ -638,13 +677,13 @@ class PhysicalPlanner:
                                   cost_model=self.cost_model)
                 return join_of(bcast, rb(dn), per_est, group=True)
 
-            return build, Locus("hash", rl.key, rl.key_type)
+            return build, rl
 
         # 5. Comparable equi sides: redistribute both out of their
         #    fragments and join above the exchanges.
         if equi and ll.kind == "hash" and rl.kind == "hash":
-            lmk = self._exchange("redistribute", lb, lrows)
-            rmk = self._exchange("redistribute", rb, rrows)
+            lmk = self._exchange("redistribute", lb, lrows, ll.dns)
+            rmk = self._exchange("redistribute", rb, rrows, rl.dns)
 
             def build(dn: Optional[int]) -> PhysicalOp:
                 return join_of(lmk(), rmk(), est)

@@ -1,9 +1,17 @@
 """The SQL engine: one entry point over the MPP cluster.
 
-``SqlEngine.execute(sql)`` handles DDL, DML and queries.  Queries run under
-a cluster-wide snapshot (a multi-shard read transaction), flow through the
-binder, the cost-based optimizer (with learning feedback) and the physical
-executor, and feed the learning producer on the way out.
+``SqlEngine.execute(sql)`` handles DDL, DML and queries.  Queries flow
+through the binder, the cost-based optimizer (with learning feedback) and
+the physical executor, and feed the learning producer on the way out.
+
+A statement is planned *before* its transaction begins, because the plan
+decides the transaction's kind: when every row it touches lives on one
+data node — a keyed SELECT/UPDATE/DELETE on a table distributed by its
+key, a one-row ``INSERT ... VALUES`` — it runs as a single-shard
+transaction (local XID and snapshot, no GTM, one-phase commit; the
+paper's Sec. II-A fast path).  Everything else runs under a cluster-wide
+snapshot (a multi-shard transaction), as does the re-run of a
+single-shard attempt that raised ``TransactionPromotionRequired``.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.mpp import MppCluster
+from repro.cluster.txn import TransactionPromotionRequired
 from repro.common.errors import (
     AdmissionRejected,
     CatalogError,
@@ -21,11 +30,14 @@ from repro.common.errors import (
 )
 from repro.exec.batch import enable_batches
 from repro.exec.fragments import ScanBinding
-from repro.exec.operators import PhysicalOp, walk_physical
+from repro.exec.operators import (PhysicalOp, PKeyLookup, PValues,
+                                  walk_physical)
 from repro.learnopt.feedback import CaptureReport, CaptureSettings, FeedbackLoop
 from repro.obs import Observability, QueryProfile, QueryProfiler
 from repro.obs.syscat import SystemCatalog
+from repro.optimizer import access
 from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.folding import fold_expr
 from repro.optimizer.logical import LogicalScan
 from repro.optimizer.planner import PhysicalPlanner
 from repro.optimizer.stats import StatsManager, analyze_rows
@@ -268,65 +280,120 @@ class SqlEngine:
             columns = stmt.columns or tuple(c.name for c in schema.columns)
         if any(len(row) != len(columns) for row in source_rows):
             raise SqlAnalysisError("INSERT row width does not match column list")
-        session = self.cluster.session()
-        txn = session.begin(multi_shard=True)
-        try:
+
+        def body(txn) -> int:
             for row in source_rows:
                 txn.insert(stmt.table, dict(zip(columns, row)))
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
-        return Result(rowcount=len(source_rows))
+            return len(source_rows)
+
+        # One row of a hash-distributed table lands on one node.
+        single = (len(source_rows) == 1
+                  and schema.distribution is Distribution.HASH)
+        return Result(rowcount=self._in_transaction(
+            self.cluster.session(), body, single))
 
     def _update(self, stmt: ast.Update) -> Result:
-        schema = self.cluster.catalog.schema(stmt.table)
         plan_scan, predicate, binder = self._bind_table_predicate(
             stmt.table, stmt.where)
         assignments = [
             (name, binder._bind_expr(expr, plan_scan.schema))  # noqa: SLF001
             for name, expr in stmt.assignments
         ]
-        session = self.cluster.session()
-        txn = session.begin(multi_shard=True)
-        count = 0
-        try:
-            order = [c.name for c in schema.columns]
-            for key, values in list(txn.scan(stmt.table)):
-                row_tuple = tuple(values.get(name) for name in order)
-                if predicate is not None and not predicate.eval(row_tuple):
-                    continue
-                new_values = {
-                    name: expr.eval(row_tuple) for name, expr in assignments
-                }
-                txn.update(stmt.table, key, new_values)
-                count += 1
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
-        return Result(rowcount=count)
+        schema = self.cluster.catalog.schema(stmt.table)
+        # The columns that say where a row lives: its heap key and its node.
+        placing = {schema.primary_key, schema.distribution_column}
+
+        def apply(txn, key, values, row_tuple) -> Optional[Dict[str, object]]:
+            new_values = {
+                name: expr.eval(row_tuple) for name, expr in assignments
+            }
+            if any(name in placing and values.get(name) != value
+                   for name, value in new_values.items()):
+                # A new key or distribution value is a different heap entry,
+                # possibly on another node: the row moves (delete + insert)
+                # so that heap key, primary-key value and owner stay equal.
+                txn.delete(stmt.table, key, row=values)
+                return {**values, **new_values}
+            txn.update(stmt.table, key, new_values, row=values)
+            return None
+
+        return self._write_matching(stmt, predicate, apply)
 
     def _delete(self, stmt: ast.Delete) -> Result:
+        _, predicate, _ = self._bind_table_predicate(stmt.table, stmt.where)
+
+        def apply(txn, key, values, row_tuple) -> None:
+            txn.delete(stmt.table, key, row=values)
+
+        return self._write_matching(stmt, predicate, apply)
+
+    def _write_matching(self, stmt, predicate, apply) -> Result:
+        """UPDATE/DELETE: locate the rows ``predicate`` keeps, then
+        ``apply(txn, key, values, row_tuple)`` to each; a row ``apply``
+        returns is inserted once every located row has been applied (an
+        UPDATE moving rows: ``set id = id + 1`` must vacate before it
+        re-occupies).
+
+        Row location takes the SELECT planner's access path: a predicate
+        that pins the primary key probes those keys where the shard map
+        says they live; anything else walks the table.  Writes route by
+        the located row, so a table distributed on a non-key column works.
+        """
         schema = self.cluster.catalog.schema(stmt.table)
-        plan_scan, predicate, _ = self._bind_table_predicate(
-            stmt.table, stmt.where)
-        session = self.cluster.session()
-        txn = session.begin(multi_shard=True)
-        count = 0
-        try:
-            order = [c.name for c in schema.columns]
-            for key, values in list(txn.scan(stmt.table)):
+        order = [c.name for c in schema.columns]
+        sites = access.lookup_sites(predicate, schema,
+                                    self.cluster.catalog.shard_map)
+
+        def body(txn) -> int:
+            if sites is None:
+                located = list(txn.scan(stmt.table))
+            else:
+                located = [hit for dn_index, keys in sites
+                           for hit in txn.read_many(schema.name, keys,
+                                                    dn_index)]
+            count = 0
+            moved = []
+            for key, values in located:
                 row_tuple = tuple(values.get(name) for name in order)
                 if predicate is not None and not predicate.eval(row_tuple):
                     continue
-                txn.delete(stmt.table, key)
+                row = apply(txn, key, values, row_tuple)
+                if row is not None:
+                    moved.append(row)
                 count += 1
-            txn.commit()
-        except Exception:
-            txn.abort()
-            raise
-        return Result(rowcount=count)
+            for row in moved:
+                txn.insert(stmt.table, row)
+            return count
+
+        # Every probe (hence every write) on one node: single-shard.
+        single = (sites is not None and len(sites) == 1
+                  and schema.distribution is Distribution.HASH)
+        return Result(rowcount=self._in_transaction(
+            self.cluster.session(), body, single))
+
+    @staticmethod
+    def _in_transaction(session, body: Callable[[object], object],
+                        single: bool):
+        """Run a DML ``body(txn)``, commit, and return its result.
+
+        ``single`` starts the statement single-shard; if that attempt must
+        be promoted (its slot is inside a rebalance double-write window, or
+        an UPDATE moves its row to another node) it is rolled back and
+        ``body`` re-runs in a multi-shard transaction.
+        """
+        for multi_shard in ((False, True) if single else (True,)):
+            txn = session.begin(multi_shard=multi_shard)
+            try:
+                result = body(txn)
+                txn.commit()
+                return result
+            except TransactionPromotionRequired:
+                txn.abort()
+                if multi_shard:
+                    raise
+            except Exception:
+                txn.abort()
+                raise
 
     def _bind_table_predicate(self, table: str, where: Optional[ast.Expr]):
         binder = self._binder()
@@ -334,7 +401,10 @@ class SqlEngine:
             ast.NamedTable(table), cte_map={})
         predicate = None
         if where is not None:
-            predicate = binder._bind_expr(where, scan.schema)  # noqa: SLF001
+            # Folded like a SELECT's, so ``id = -5`` reaches the matcher
+            # as a constant.
+            predicate = fold_expr(
+                binder._bind_expr(where, scan.schema))  # noqa: SLF001
         return scan, predicate, binder
 
     # -- statistics ----------------------------------------------------------------
@@ -376,12 +446,19 @@ class SqlEngine:
             schema = self.cluster.catalog.schema(table)
             order = [c.name for c in schema.columns]
 
+            def lookup(sites: access.KeySites) -> Iterable[tuple]:
+                # Node by node, as a scan visits them.
+                for site, keys in sites:
+                    for _, values in current_txn().read_many(
+                            schema.name, keys, site):
+                        yield tuple(values.get(name) for name in order)
+
             if dn_index is None:
                 def rows() -> Iterable[tuple]:
                     for _, values in current_txn().scan(schema.name):
                         yield tuple(values.get(name) for name in order)
 
-                return ScanBinding(rows)
+                return ScanBinding(rows, lookup=lookup)
 
             # A plan fragment's scan: only this data node's slice.  Column-
             # oriented tables additionally expose a column-store snapshot so
@@ -395,7 +472,7 @@ class SqlEngine:
                 def column_store(table=schema.name, dn=dn_index):
                     return current_txn().shard_column_store(table, dn)
 
-            return ScanBinding(rows, column_store=column_store)
+            return ScanBinding(rows, column_store=column_store, lookup=lookup)
 
         def table_function_rows(name: str, args: Tuple[object, ...]):
             impl = self.table_functions.get(name)
@@ -410,7 +487,7 @@ class SqlEngine:
         return PhysicalPlanner(
             estimator, scan_source, table_function_rows,
             num_dns=self.cluster.num_dns,
-            dn_indices=getattr(self.cluster, "dn_indices", lambda: None)(),
+            shard_map=self.cluster.catalog.shard_map,
             table_schema=self.cluster.catalog.schema,
             cost_model=getattr(getattr(self.cluster, "profile", None),
                                "mpp", None),
@@ -452,13 +529,13 @@ class SqlEngine:
                     queue_span,
                     end_us=queue_span.start_us + self._wlm_ticket.wait_us)
             tracer.activate(query_span)
-        txn = session.begin(multi_shard=True)
         profiler = QueryProfiler(
             tracer=tracer,
             metrics=obs.metrics if obs is not None else None,
             root_span=query_span,
             node=cn_node,
         )
+        txn = None
         try:
             if cached is not None:
                 physical = cached.physical
@@ -466,7 +543,7 @@ class SqlEngine:
                 physical.reset_counters()
             else:
                 logical = self._binder().bind_select(stmt)
-                physical = self._planner(txn).plan(logical)
+                physical = self._planner(None).plan(logical)
                 columns = [c.name for c in logical.schema]
                 # Eligible subtrees (column-oriented scans under
                 # compilable expressions, no LIMIT above) stream numpy
@@ -475,6 +552,10 @@ class SqlEngine:
             profiler.attach(physical)
             if self._wlm_ctx is not None:
                 attach_to_plan(self._wlm_ctx, physical)
+            # The plan picks the transaction: one data node, one shard.  No
+            # promotion re-run as for DML: reads pinned to one node never
+            # leave it, and read no double-write window.
+            txn = session.begin(multi_shard=not _single_site(physical))
             self._active_txn = txn
             try:
                 rows = list(physical.execute())
@@ -482,7 +563,8 @@ class SqlEngine:
                 self._active_txn = None
             txn.commit()
         except Exception:
-            txn.abort()
+            if txn is not None:
+                txn.abort()
             if query_span is not None:
                 tracer.deactivate(query_span)
                 query_span.set_attribute("error", True)
@@ -542,12 +624,7 @@ class SqlEngine:
     def _explain(self, stmt: ast.Explain) -> Result:
         if stmt.analyze:
             return self._explain_analyze(stmt)
-        session = self.cluster.session()
-        txn = session.begin(multi_shard=True)
-        try:
-            physical = self.plan_select(stmt.query, txn)
-        finally:
-            txn.commit()
+        physical = self.plan_select(stmt.query, None)
         text = physical.pretty()
         return Result(columns=["plan"], rows=[(line,) for line in text.split("\n")],
                       plan_text=text)
@@ -581,3 +658,16 @@ class SqlEngine:
             capture=executed.capture,
             profile=profile,
         )
+
+
+def _single_site(physical: PhysicalOp) -> bool:
+    """True when every leaf of the plan is a key lookup on one and the same
+    data node (constant ``VALUES`` leaves touch no node)."""
+    sites = set()
+    for op in walk_physical(physical):
+        if op.children() or isinstance(op, PValues):
+            continue
+        if not isinstance(op, PKeyLookup) or op.dn_index is None:
+            return False
+        sites.add(op.dn_index)
+    return len(sites) == 1

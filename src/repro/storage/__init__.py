@@ -1,13 +1,12 @@
-"""Storage engines: MVCC row heap, columnar store, indexes, compression."""
+"""Storage engines: MVCC row heap, columnar store, compression."""
 
 from repro.storage.colstore import ColumnStore, ColumnVector
 from repro.storage.heap import MvccHeap, TupleVersion
-from repro.storage.index import HashIndex, OrderedIndex, make_index
 from repro.storage.table import Column, Distribution, Orientation, TableSchema
 from repro.storage.types import DataType, coerce
 
 __all__ = [
     "MvccHeap", "TupleVersion", "ColumnStore", "ColumnVector",
     "TableSchema", "Column", "Distribution", "Orientation",
-    "HashIndex", "OrderedIndex", "make_index", "DataType", "coerce",
+    "DataType", "coerce",
 ]

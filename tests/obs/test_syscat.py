@@ -158,11 +158,14 @@ class TestSysFaultsView:
         cluster = engine.cluster
         injector = FaultInjector(seed=3).bind(cluster)
         injector.arm(FP_PREPARE_BEFORE, ACT_TIMEOUT, times=1)
-        engine.execute("UPDATE t SET b = 'w' WHERE a = 1")
+        # Not keyed, so the statement is a global transaction and commits
+        # through 2PC (``WHERE a = 1`` would run single-shard, one-phase,
+        # and never reach a prepare failpoint).
+        engine.execute("UPDATE t SET b = 'w' WHERE b = 'x'")
         rows = engine.query(
             "SELECT failpoint, action, target FROM sys.faults")
         assert rows == [{"failpoint": "2pc.prepare.before",
                          "action": "timeout",
-                         "target": "dn1"}]    # a = 1 hashes to dn1
+                         "target": "dn1"}]    # the row a = 1 lives on dn1
         count = engine.query("SELECT count(*) AS n FROM sys.faults")
         assert count[0]["n"] == 1

@@ -39,12 +39,11 @@ class TestUnionAll:
         plan = engine.execute(
             "explain select v from hot where id = 1 "
             "union all select v from cold where id = 4").plan_text
-        # Each branch keeps its own pushed-down predicate on its scans
-        # (fragmented execution clones each scan once per data node).
-        assert plan.count("[HOT.ID=1]") == plan.count("SeqScan hot")
-        assert plan.count("[COLD.ID=4]") == plan.count("SeqScan cold")
-        assert plan.count("SeqScan hot") >= 1
-        assert plan.count("SeqScan cold") >= 1
+        # Each branch keeps its own pushed-down predicate on its leaf: a
+        # key lookup, instantiated only on the node that owns the key.
+        assert plan.count("[HOT.ID=1]") == plan.count("KeyLookup hot") == 1
+        assert plan.count("[COLD.ID=4]") == plan.count("KeyLookup cold") == 1
+        assert "SeqScan" not in plan
         assert "UnionAll" in plan
 
     def test_union_inside_cte(self, engine):

@@ -1,10 +1,9 @@
-"""Tests for the column store, indexes and type coercion."""
+"""Tests for the column store and type coercion."""
 
 import pytest
 
 from repro.common.errors import StorageError
 from repro.storage.colstore import ColumnStore
-from repro.storage.index import HashIndex, OrderedIndex, make_index
 from repro.storage.table import Column, TableSchema
 from repro.storage.types import DataType, coerce, type_of_literal
 
@@ -69,65 +68,6 @@ class TestColumnStore:
         store = store_with_rows(4)
         with pytest.raises(Exception):
             list(store.scan_chunks(["zz"]))
-
-
-class TestHashIndex:
-    def test_lookup(self):
-        index = HashIndex("t", "c")
-        index.add("a", 1)
-        index.add("a", 2)
-        index.add("b", 3)
-        assert index.lookup("a") == {1, 2}
-        assert index.lookup("zz") == set()
-
-    def test_remove(self):
-        index = HashIndex("t", "c")
-        index.add("a", 1)
-        index.remove("a", 1)
-        assert index.lookup("a") == set()
-        assert len(index) == 0
-
-
-class TestOrderedIndex:
-    def test_range_query(self):
-        index = OrderedIndex("t", "c")
-        for i in range(10):
-            index.add(i * 10, f"k{i}")
-        assert set(index.range(25, 55)) == {"k3", "k4", "k5"}
-        assert set(index.range(30, 50, include_low=False,
-                               include_high=False)) == {"k4"}
-
-    def test_open_ranges(self):
-        index = OrderedIndex("t", "c")
-        for i in range(5):
-            index.add(i, i)
-        assert list(index.range(None, 2)) == [0, 1, 2]
-        assert list(index.range(3, None)) == [3, 4]
-
-    def test_duplicates_and_remove(self):
-        index = OrderedIndex("t", "c")
-        index.add(5, "a")
-        index.add(5, "b")
-        index.remove(5, "a")
-        assert index.lookup(5) == {"b"}
-
-    def test_nulls_skipped(self):
-        index = OrderedIndex("t", "c")
-        index.add(None, "a")
-        assert len(index) == 0
-
-    def test_min_max(self):
-        index = OrderedIndex("t", "c")
-        assert index.min_value() is None
-        index.add(3, "a")
-        index.add(1, "b")
-        assert (index.min_value(), index.max_value()) == (1, 3)
-
-    def test_factory(self):
-        assert isinstance(make_index("hash", "t", "c"), HashIndex)
-        assert isinstance(make_index("btree", "t", "c"), OrderedIndex)
-        with pytest.raises(StorageError):
-            make_index("lsm", "t", "c")
 
 
 class TestTypes:
