@@ -18,7 +18,11 @@ Asserted gates (CI fails on regression):
 * mixed OLTP p95 latency within ``OLTP_P95_BOUND``x of the baseline,
 * every reporting scan served from HTAP storage — zero cold rebuilds,
 * worst observed commit-to-column freshness lag under twice the merge
-  interval.
+  interval,
+* storage I/O charged per merged row at most ``MERGE_BYTES_BOUND``x the
+  row's own bytes — a merge costs what its delta touches, not the table
+  (the column tables here only ever see NewOrder's inserts, which extend
+  the last chunk: one row read from the delta, one written).
 
 Run:  PYTHONPATH=src python benchmarks/bench_htap_mixed.py
 Writes ``BENCH_htap_mixed.json`` next to this file (under ``out/``).
@@ -28,7 +32,7 @@ import json
 from pathlib import Path
 
 from repro.cluster.mpp import MppCluster
-from repro.htap.manager import HtapConfig
+from repro.htap.manager import HtapConfig, _row_bytes
 from repro.sql.engine import SqlEngine
 from repro.wlm import Priority, ResourceGroup, WlmConfig
 from repro.wlm.driver import percentile
@@ -42,6 +46,7 @@ OLTP_TXNS = 240           # per run; retries included in latency
 SCAN_EVERY = 8            # mixed mode: one reporting scan per 8 OLTP txns
 MERGE_INTERVAL_US = 30_000.0
 OLTP_P95_BOUND = 1.5      # mixed p95 must stay within 1.5x of baseline
+MERGE_BYTES_BOUND = 4.0   # charged merge bytes per merged row, in row sizes
 COLUMN_TABLES = ("orders", "order_line")
 
 REPORTS = (
@@ -115,6 +120,11 @@ def main() -> None:
     scans_composed = flat.get("htap.scans_composed", 0.0)
     cold_rebuilds = flat.get("htap.cold_rebuilds", 0.0)
     merge_stats = cluster.obs.waits.stats("htap_merge")
+    merges = cluster.htap.history
+    merged_row_bytes = sum(
+        e.delta_rows * _row_bytes(cluster.catalog.schema(e.table))
+        for e in merges)
+    merge_amplification = sum(e.bytes for e in merges) / merged_row_bytes
 
     base_p95 = percentile(base_latencies, 95)
     mixed_p95 = percentile(mixed_latencies, 95)
@@ -132,6 +142,10 @@ def main() -> None:
     assert mixed_lag <= lag_bound_us, (
         f"freshness lag {mixed_lag:.0f}us exceeded {lag_bound_us:.0f}us "
         f"with a {MERGE_INTERVAL_US:.0f}us merge interval")
+    assert merge_amplification <= MERGE_BYTES_BOUND, (
+        f"merges charged {merge_amplification:.1f}x the bytes of the rows "
+        f"they folded (bound {MERGE_BYTES_BOUND}x): a merge is rewriting "
+        "more than its delta")
 
     report = {
         "benchmark": "htap_mixed",
@@ -140,6 +154,7 @@ def main() -> None:
             "oltp_txns": OLTP_TXNS, "scan_every": SCAN_EVERY,
             "merge_interval_us": MERGE_INTERVAL_US,
             "oltp_p95_bound": OLTP_P95_BOUND,
+            "merge_bytes_bound": MERGE_BYTES_BOUND,
             "column_tables": list(COLUMN_TABLES),
         },
         "oltp_only": {
@@ -162,6 +177,10 @@ def main() -> None:
             "cold_rebuilds": cold_rebuilds,
             "merges": merge_stats.count,
             "merge_io_us": merge_stats.total_us,
+            "merge_rows": sum(e.delta_rows for e in merges),
+            "merge_bytes": sum(e.bytes for e in merges),
+            "merge_bytes_per_row_bytes": merge_amplification,
+            "chunks_rewritten": sum(e.chunks_rewritten for e in merges),
             "tables": [list(row) for row in freshness_rows(engine)],
         },
     }
@@ -176,6 +195,8 @@ def main() -> None:
               f"{m.get('scan_count', 0):7d}")
     print(f"mixed/baseline OLTP p95 ratio: {ratio:.2f}x "
           f"(bound {OLTP_P95_BOUND}x)")
+    print(f"merge bytes per merged row: {merge_amplification:.2f}x the row "
+          f"(bound {MERGE_BYTES_BOUND}x)")
     print(f"served scans: {scans_frozen:.0f} frozen, "
           f"{scans_composed:.0f} composed, {cold_rebuilds:.0f} cold rebuilds")
     print(f"wrote {OUT_PATH}")

@@ -10,7 +10,8 @@ with pending deltas.  Each merge:
   (a crash mid-merge must lose nothing — the swap in
   :meth:`HtapTableStore.merge` is atomic);
 * charges storage I/O the way WLM spill does — bytes×``SPILL_BYTE_US``
-  recorded as the ``htap_merge`` wait event against ``dn{i}``;
+  recorded as the ``htap_merge`` wait event against ``dn{i}`` — for the
+  entries folded, chunks rewritten and rows appended, not for the table;
 * records a :class:`MergeEvent` and per-table freshness lag, surfaced
   through ``sys.htap_tables`` / ``sys.htap_merges``.
 """
@@ -69,6 +70,8 @@ class MergeEvent:
     bytes: int           # charged storage I/O volume
     io_us: float         # charged storage I/O time
     max_lag_us: float    # worst commit-to-merge lag among folded entries
+    chunks_rewritten: int   # chunks of the new set not shared with the old
+    chunks_total: int       # chunks in the new set
 
 
 class HtapManager:
@@ -143,34 +146,38 @@ class HtapManager:
         merges = 0
         self._in_tick = True
         faults = getattr(self.cluster, "faults", None)
-        for dn in self.cluster.dns:
-            if dn.crashed or dn.retired:
-                continue
-            self.ensure_node(dn)
-            if dn.htap is None:
-                continue   # no HTAP tables exist yet
-            delay_us = 0.0
-            if faults is not None:
-                try:
-                    outcome = faults.fire(FP_HTAP_FRESHNESS, dn=dn.index)
-                except InjectedTimeout:
-                    self._count("htap.daemon_stalls")
+        try:
+            for dn in self.cluster.dns:
+                if dn.crashed or dn.retired:
                     continue
-                if outcome.dropped:
-                    self._count("htap.daemon_stalls")
-                    continue
-                delay_us = outcome.delay_us
-            for name in sorted(dn.htap.tables):
-                if dn.crashed:
-                    break
-                merges += self._merge_one(dn, dn.htap.tables[name], now,
-                                          delay_us)
-                delay_us = 0.0   # charged once per node per tick
-        self._in_tick = False
-        if self._tick_span is not None:
-            self._tick_span.set_attribute("merges", merges)
-            self.cluster.obs.tracer.end_span(self._tick_span)
-            self._tick_span = None
+                self.ensure_node(dn)
+                if dn.htap is None:
+                    continue   # no HTAP tables exist yet
+                delay_us = 0.0
+                if faults is not None:
+                    try:
+                        outcome = faults.fire(FP_HTAP_FRESHNESS, dn=dn.index)
+                    except InjectedTimeout:
+                        self._count("htap.daemon_stalls")
+                        continue
+                    if outcome.dropped:
+                        self._count("htap.daemon_stalls")
+                        continue
+                    delay_us = outcome.delay_us
+                for name in sorted(dn.htap.tables):
+                    if dn.crashed:
+                        break
+                    merges += self._merge_one(dn, dn.htap.tables[name], now,
+                                              delay_us)
+                    delay_us = 0.0   # charged once per node per tick
+        finally:
+            # On an exception out of a merge body too: a later merge
+            # outside any tick (failover re-seed) must not parent to this one.
+            self._in_tick = False
+            if self._tick_span is not None:
+                self._tick_span.set_attribute("merges", merges)
+                self.cluster.obs.tracer.end_span(self._tick_span)
+                self._tick_span = None
         return merges
 
     def _merge_one(self, dn, store: HtapTableStore, now_us: float,
@@ -198,16 +205,17 @@ class HtapManager:
 
     def _account(self, dn, store: HtapTableStore, result, now_us: float,
                  delay_us: float = 0.0) -> None:
-        rows_read, rows_written, applied = result
-        if rows_read == 0 and rows_written == 0 and applied == 0:
+        rows_moved, applied, rewritten = result
+        if rows_moved == 0 and applied == 0:
             return   # the free table-creation seed
-        volume = (rows_read + rows_written) * _row_bytes(store.schema)
+        volume = rows_moved * _row_bytes(store.schema)
         io_us = volume * SPILL_BYTE_US + delay_us
         event = MergeEvent(
             merge_id=self._next_merge_id, dn=dn.index,
             table=store.schema.name, t_us=now_us, delta_rows=applied,
-            frozen_rows=rows_written, bytes=volume, io_us=io_us,
-            max_lag_us=store.max_lag_us)
+            frozen_rows=store.frozen.row_count, bytes=volume, io_us=io_us,
+            max_lag_us=store.max_lag_us, chunks_rewritten=rewritten,
+            chunks_total=len(store.frozen.chunks))
         self._next_merge_id += 1
         self.history.append(event)
         obs = self.cluster.obs
@@ -215,6 +223,7 @@ class HtapManager:
             obs.metrics.counter("htap.merges").inc()
             obs.metrics.counter("htap.merge_rows").inc(float(applied))
             obs.metrics.counter("htap.merge_bytes").inc(float(volume))
+            obs.metrics.counter("htap.chunks_rewritten").inc(float(rewritten))
             obs.waits.record(WAIT_HTAP_MERGE, io_us,
                              session=f"dn{dn.index}")
             tracer = obs.tracer
@@ -293,7 +302,8 @@ class HtapManager:
     def merge_rows(self) -> List[tuple]:
         """Feed for ``sys.htap_merges``."""
         return [(e.merge_id, e.dn, e.table, e.t_us, e.delta_rows,
-                 e.frozen_rows, e.bytes, e.io_us, e.max_lag_us)
+                 e.frozen_rows, e.bytes, e.io_us, e.max_lag_us,
+                 e.chunks_rewritten, e.chunks_total)
                 for e in self.history]
 
     def reset_history(self) -> None:

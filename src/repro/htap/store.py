@@ -2,68 +2,186 @@
 
 A :class:`HtapTableStore` is one table's HTAP state on one data node:
 
-* ``frozen`` — a :class:`FrozenChunkSet`: a persistent
-  :class:`~repro.storage.colstore.ColumnStore` built by the last merge,
-  plus the merge-time snapshot (the *merged-past-xid watermark*) and the
-  per-row keys/arrival stamps needed to patch it;
+* ``frozen`` — a :class:`FrozenChunkSet`: immutable :class:`FrozenChunk`
+  slices in heap arrival-stamp order, the
+  :class:`~repro.storage.colstore.ColumnStore` that serves them, the
+  merge-time snapshot (the *merged-past-xid watermark*) and the key index
+  needed to patch them;
 * ``delta`` — the committed writes that arrived since that merge.
 
-Analytic reads call :meth:`HtapTableStore.compose`:
+The merge daemon and analytic reads share :func:`overlay`, which lays
+per-key final states over a chunk list and reuses every chunk it did not
+have to touch:
 
-* when the query's snapshot sees no delta entry, the frozen store is
-  served **as is** — zero rebuild, the whole point of the subsystem;
-* otherwise frozen rows are patched/extended with the visible delta
-  entries, re-sorted by heap arrival stamp, and materialized into a fresh
-  uncompressed store with the default chunking — exactly the store the
-  legacy heap walk would have produced, so query results (including
-  chunk-boundary-sensitive float aggregation) stay byte-identical;
+* :meth:`HtapTableStore.merge` overlays *every* committed delta entry and
+  publishes the result as the new frozen set;
+* :meth:`HtapTableStore.compose` overlays the entries the query's snapshot
+  sees and serves the result from chunk references — or, when it sees
+  none, the frozen store **as is**: zero rebuild, the whole point of the
+  subsystem;
 * when the snapshot cannot be served soundly (classical mode, UPGRADE-d
   merged snapshots, readers with their own uncommitted writes, snapshots
   older than the watermark), ``compose`` returns ``None`` and the caller
   falls back to the heap walk, counting the reason.
 
-Ordering invariant: frozen rows are kept sorted by the heap's arrival
-stamp, and every composed result is sorted the same way, so column output
-always reproduces the heap scan order byte-for-byte.
+Boundary invariant: chunk *i* of every served store holds rows
+``[DEFAULT_CHUNK_ROWS * i, DEFAULT_CHUNK_ROWS * (i + 1))`` of arrival-stamp
+order — the boundaries the legacy heap walk produces — so column output
+(chunk-boundary-sensitive float aggregation included) reproduces the heap
+scan byte-for-byte.  An insert lands in the last chunk, a same-stamp
+update copies only its own chunk, and only a delete or a key that vacuum
+moved re-chunks the suffix from the first disturbed chunk on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import count
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import InvalidTransactionState
-from repro.htap.delta import DeltaEntry, DeltaStore
-from repro.storage.colstore import ColumnStore
+from repro.htap.delta import DeltaStore
+from repro.storage import colstore
+from repro.storage.colstore import ColumnChunk, ColumnStore
 from repro.storage.table import TableSchema
 from repro.txn.snapshot import Snapshot
 from repro.txn.xid import INVALID_XID
 
 
-class FrozenChunkSet:
-    """The output of one merge: column chunks plus patching metadata."""
+class FrozenChunk:
+    """One horizontal slice of a frozen set; immutable once built."""
 
-    def __init__(self, store: ColumnStore, keys: List[object],
-                 stamps: List[int], rows: List[Dict[str, object]],
-                 snapshot: Snapshot, merged_seq: int):
-        self.store = store
+    __slots__ = ("keys", "stamps", "columns", "_sealed")
+
+    def __init__(self, keys: List[object], stamps: List[int],
+                 columns: Dict[str, list]):
         self.keys = keys
         self.stamps = stamps
-        #: Row dicts in store order — the merge/compose working copy, kept
-        #: so neither path re-decodes (or round-trips values through) the
-        #: encoded chunks.
-        self.rows = rows
+        #: Per-column value lists — the patching working copy, so neither
+        #: merge nor compose decodes (or round-trips values through) the
+        #: encoded chunk.
+        self.columns = columns
+        self._sealed: Optional[Dict[str, ColumnChunk]] = None
+
+    def sealed(self, schema: TableSchema,
+               compress: bool) -> Dict[str, ColumnChunk]:
+        """The scannable form, built by the first caller and then shared
+        (it carries the decode-once cache).  Only a full chunk is ever
+        compressed: the last one grows with every merge, so it stays
+        ``plain`` until it fills and is encoded once."""
+        if self._sealed is None:
+            full = len(self.keys) >= colstore.DEFAULT_CHUNK_ROWS
+            self._sealed = colstore.seal_columns(schema, self.columns,
+                                                 compress and full)
+        return self._sealed
+
+
+def overlay(names: List[str], chunks: List[FrozenChunk],
+            pos_by_key: Dict[object, int],
+            finals: Dict[object, Tuple[int, Optional[Dict[str, object]]]]
+            ) -> Tuple[List[FrozenChunk], int, int]:
+    """Lay each key's final state over ``chunks``, sharing what it can.
+
+    ``finals`` maps a key to ``(arrival stamp, coerced row)``, the row
+    ``None`` when the key ends up deleted.  Returns ``(new_chunks, first,
+    rows_moved)``: ``new_chunks[:first]`` keep their row positions (the
+    input's own chunks, but for the copies a same-stamp update forced)
+    and ``new_chunks[first:]`` were re-chunked.  ``rows_moved`` is chunk
+    rows read plus rows written: whole chunks where one was rewritten,
+    only the new rows where the last chunk was appended to.
+    """
+    size = colstore.DEFAULT_CHUNK_ROWS
+    patched: Dict[int, Dict[int, Dict[str, object]]] = {}   # chunk: offset
+    deleted: List[int] = []                                 # row positions
+    fresh: List[Tuple[int, object, Dict[str, object]]] = []
+    for key, (stamp, values) in finals.items():
+        pos = pos_by_key.get(key)
+        if pos is not None:
+            index, offset = divmod(pos, size)
+            if values is not None and stamp == chunks[index].stamps[offset]:
+                patched.setdefault(index, {})[offset] = values
+                continue
+            # Deleted — or its chain was dropped (vacuum) and re-created,
+            # so the key now lives at a new heap position.
+            deleted.append(pos)
+        if values is not None:
+            fresh.append((stamp, key, values))
+    fresh.sort(key=itemgetter(0))
+    first = len(chunks)
+    disturbed = [pos // size for pos in deleted]
+    if fresh and chunks:
+        if len(chunks[-1].keys) < size:
+            first -= 1   # new rows go into the last chunk's free room
+        if fresh[0][0] < chunks[-1].stamps[-1]:
+            # A key that arrived in the heap before rows already frozen
+            # (its transaction outlived theirs) lands mid-set.
+            disturbed.append(bisect_left(
+                [chunk.stamps[-1] for chunk in chunks], fresh[0][0]))
+    # Appending: rows from ``first`` on stay as they are, new ones follow.
+    appended = not disturbed and max(patched, default=-1) < first
+    first = min([first] + disturbed)
+
+    def rewrite(lo, hi, drop=(), add=()):
+        keys, stamps = [], []
+        columns: Dict[str, list] = {name: [] for name in names}
+        for index in range(lo, hi):
+            start = len(keys)
+            keys.extend(chunks[index].keys)
+            stamps.extend(chunks[index].stamps)
+            for name in names:
+                columns[name].extend(chunks[index].columns[name])
+            for offset, values in patched.get(index, {}).items():
+                for name in names:
+                    columns[name][start + offset] = values[name]
+        for at in sorted((pos - lo * size for pos in drop), reverse=True):
+            del keys[at], stamps[at]
+            for name in names:
+                del columns[name][at]
+        for stamp, key, values in add:
+            at = bisect_left(stamps, stamp)   # the end, for an append
+            keys.insert(at, key)
+            stamps.insert(at, stamp)
+            for name in names:
+                columns[name].insert(at, values[name])
+        return [FrozenChunk(keys[at:at + size], stamps[at:at + size],
+                            {name: columns[name][at:at + size]
+                             for name in names})
+                for at in range(0, len(keys), size)]
+
+    out = chunks[:first]
+    moved = 0
+    for index in patched:
+        if index < first:
+            out[index], = rewrite(index, index + 1)
+            moved += 2 * len(out[index].keys)
+    suffix = rewrite(first, len(chunks), deleted, fresh)
+    old_rows = sum(len(chunk.keys) for chunk in chunks[first:])
+    moved += (sum(len(chunk.keys) for chunk in suffix)
+              + (-old_rows if appended else old_rows))
+    return out + suffix, first, moved
+
+
+class FrozenChunkSet:
+    """The output of one merge: served chunks plus patching metadata."""
+
+    def __init__(self, schema: TableSchema, chunks: List[FrozenChunk],
+                 pos_by_key: Dict[object, int], snapshot: Snapshot,
+                 merged_seq: int):
+        self.chunks = chunks
+        #: Key -> row position in stamp order (chunk ``pos // size``).
+        self.pos_by_key = pos_by_key
+        self.store = ColumnStore.from_chunks(
+            schema, [chunk.sealed(schema, compress=True) for chunk in chunks])
         #: The merge-time snapshot: the watermark every served query
         #: snapshot must dominate.
         self.snapshot = snapshot
         #: First delta ``seq`` *not* folded into this chunk set.
         self.merged_seq = merged_seq
-        self.pos_by_key: Dict[object, int] = {
-            key: i for i, key in enumerate(keys)
-        }
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.store.row_count
 
 
 class HtapTableStore:
@@ -87,64 +205,55 @@ class HtapTableStore:
     # -- merge -------------------------------------------------------------
 
     def merge(self, dn, now_us: float) -> Optional[Tuple[int, int, int]]:
-        """Fold committed deltas into a fresh frozen chunk set.
+        """Fold committed deltas into the frozen chunk set.
 
-        Returns ``(rows_read, rows_written, entries_applied)`` or ``None``
-        when there was nothing to do.  The new chunk set is built aside and
-        swapped in atomically at the end: a crash mid-merge (fault
-        injection) leaves the old frozen state and the delta intact, so no
-        row is ever lost or duplicated and a later merge simply redoes the
-        work.
+        Returns ``(rows_moved, entries_applied, chunks_rewritten)`` —
+        rows read (delta entries or heap rows, rewritten chunks) plus rows
+        written — or ``None`` when there was nothing to do.  The new chunk
+        list and key index are built aside and published by one
+        assignment: a crash mid-merge (fault injection) leaves the old
+        frozen state and the delta intact, so no row is ever lost or
+        duplicated and a later merge simply redoes the work.
         """
         cutoff = len(self.delta.entries)
         if self.frozen is not None and cutoff == 0:
             return None
         merged_seq = self.delta.next_seq
         snapshot = dn.ltm.local_snapshot()
+        entries = self.delta.entries[:cutoff]
         if self.frozen is None:
-            # Seed merge: build from a full heap scan (table registration,
-            # or re-attachment after failover rebuilt the node).  The heap
-            # already reflects every committed delta entry.
+            # Seed merge: overlay a full heap scan on nothing (table
+            # registration, or re-attachment after failover rebuilt the
+            # node).  The heap already reflects every committed delta entry.
             heap = dn.heap(self.schema.name)
-            items = sorted(
-                ((heap.stamp_of(key), key, values)
-                 for key, values in heap.scan(snapshot, dn.ltm.clog)),
-                key=lambda item: item[0])
-            rows_read = len(items)
+            old, pos_by_key = [], {}
+            finals = {key: (heap.stamp_of(key), values)
+                      for key, values in heap.scan(snapshot, dn.ltm.clog)}
+            rows_read = len(finals)
         else:
-            by_key: Dict[object, Tuple[int, Dict[str, object]]] = {}
-            for stamp, key, values in zip(self.frozen.stamps,
-                                          self.frozen.keys,
-                                          self.frozen.rows):
-                by_key[key] = (stamp, values)
-            for entry in self.delta.entries[:cutoff]:
-                if entry.op == "delete":
-                    by_key.pop(entry.key, None)
-                else:
-                    by_key[entry.key] = (entry.stamp, entry.values)
-            items = sorted(
-                ((stamp, key, values)
-                 for key, (stamp, values) in by_key.items()),
-                key=lambda item: item[0])
-            rows_read = self.frozen.row_count + cutoff
-        for entry in self.delta.entries[:cutoff]:
+            old, pos_by_key = self.frozen.chunks, dict(self.frozen.pos_by_key)
+            finals = {entry.key: (entry.stamp, entry.values)
+                      for entry in entries}
+            rows_read = cutoff
+        chunks, first, moved = overlay(
+            self.schema.column_names, old, pos_by_key, finals)
+        for key, (_stamp, values) in finals.items():
+            if values is None:
+                pos_by_key.pop(key, None)
+        for index in range(first, len(chunks)):
+            pos_by_key.update(zip(chunks[index].keys, count(
+                index * colstore.DEFAULT_CHUNK_ROWS)))
+        rewritten = sum(1 for i, chunk in enumerate(chunks)
+                        if i >= len(old) or chunk is not old[i])
+        self.frozen = FrozenChunkSet(self.schema, chunks, pos_by_key,
+                                     snapshot, merged_seq)
+        for entry in entries:
             self.max_lag_us = max(self.max_lag_us,
                                   now_us - entry.commit_t_us)
-        store = ColumnStore(self.schema, compress=True)
-        store.append_rows(values for _stamp, _key, values in items)
-        store.flush()
-        self.frozen = FrozenChunkSet(
-            store,
-            keys=[key for _stamp, key, _values in items],
-            stamps=[stamp for stamp, _key, _values in items],
-            rows=[values for _stamp, _key, values in items],
-            snapshot=snapshot,
-            merged_seq=merged_seq,
-        )
         self.delta.truncate(cutoff)
         self.merges += 1
         self.last_merge_us = now_us
-        return rows_read, len(items), cutoff
+        return moved + rows_read, cutoff, rewritten
 
     # -- read path ---------------------------------------------------------
 
@@ -164,42 +273,18 @@ class HtapTableStore:
         # commits are serialized (first-updater-wins) and GTM-lite's
         # dependency taint hides dependent commits together, so the
         # visible entries of a key always form a prefix of its stream.
-        finals: Dict[object, DeltaEntry] = {}
-        for entry in self.delta.entries:
-            if snapshot.xid_visible(entry.xid, clog, own_xid):
-                finals[entry.key] = entry
+        finals = {entry.key: (entry.stamp, entry.values)
+                  for entry in self.delta.entries
+                  if snapshot.xid_visible(entry.xid, clog, own_xid)}
         if not finals:
             dn._note("htap.scans_frozen")
             return frozen.store
-        deleted = set()
-        patched: Dict[int, Dict[str, object]] = {}
-        extra: List[Tuple[int, Dict[str, object]]] = []
-        for key, entry in finals.items():
-            pos = frozen.pos_by_key.get(key)
-            if pos is None:
-                if entry.op != "delete":
-                    extra.append((entry.stamp, entry.values))
-            elif entry.op == "delete":
-                deleted.add(pos)
-            elif entry.stamp == frozen.stamps[pos]:
-                patched[pos] = entry.values
-            else:
-                # The key's chain was dropped (vacuum) and re-created: it
-                # now lives at a new heap position.
-                deleted.add(pos)
-                extra.append((entry.stamp, entry.values))
-        rows = [(stamp, patched.get(i, values))
-                for i, (stamp, values) in enumerate(zip(frozen.stamps,
-                                                        frozen.rows))
-                if i not in deleted]
-        rows.extend(extra)
-        rows.sort(key=lambda item: item[0])
-        # Materialize with the legacy path's exact shape (uncompressed,
-        # default chunking) so downstream vectorized aggregation sees the
-        # same chunk boundaries and stays byte-identical.
-        store = ColumnStore(self.schema, compress=False)
-        store.append_rows(values for _stamp, values in rows)
-        store.flush()
+        chunks = overlay(self.schema.column_names, frozen.chunks,
+                         frozen.pos_by_key, finals)[0]
+        # New chunks stay uncompressed, like the heap walk's: a composed
+        # store lives for one query.
+        store = ColumnStore.from_chunks(self.schema, [
+            chunk.sealed(self.schema, compress=False) for chunk in chunks])
         dn._note("htap.scans_composed")
         return store
 

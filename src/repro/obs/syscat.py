@@ -28,7 +28,8 @@ Views:
 * ``sys.htap_tables``  — per-DN dual-format table state: frozen chunks,
   pending delta rows, merge watermark, freshness lag (``repro.htap``).
 * ``sys.htap_merges``  — the delta-merge history: rows folded, storage I/O
-  charged, worst commit-to-merge lag per merge.
+  charged, worst commit-to-merge lag and chunks rewritten (of how many)
+  per merge.
 * ``sys.trace_spans``  — finished spans stitched into trace trees: one row
   per span with its trace id, tree depth and executing node.
 * ``sys.shard_map``    — the versioned slot table: one row per hash slot
@@ -254,7 +255,9 @@ class SystemCatalog:
              ("table_name", DataType.TEXT), ("t_us", DataType.DOUBLE),
              ("delta_rows", DataType.BIGINT),
              ("frozen_rows", DataType.BIGINT), ("bytes", DataType.BIGINT),
-             ("io_us", DataType.DOUBLE), ("max_lag_us", DataType.DOUBLE)],
+             ("io_us", DataType.DOUBLE), ("max_lag_us", DataType.DOUBLE),
+             ("chunks_rewritten", DataType.BIGINT),
+             ("chunks_total", DataType.BIGINT)],
             self._htap_merge_rows,
         )
 

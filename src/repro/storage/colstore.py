@@ -89,8 +89,10 @@ class ColumnVector:
 class ColumnStore:
     """Append-only columnar table storage."""
 
-    def __init__(self, schema: TableSchema, chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    def __init__(self, schema: TableSchema, chunk_rows: Optional[int] = None,
                  compress: bool = True):
+        if chunk_rows is None:
+            chunk_rows = DEFAULT_CHUNK_ROWS
         if chunk_rows <= 0:
             raise StorageError("chunk_rows must be positive")
         self.schema = schema
@@ -99,6 +101,18 @@ class ColumnStore:
         self._sealed: List[Dict[str, ColumnChunk]] = []
         self._open: List[Dict[str, object]] = []
         self._row_count = 0
+
+    @classmethod
+    def from_chunks(cls, schema: TableSchema,
+                    chunks: List[Dict[str, ColumnChunk]]) -> "ColumnStore":
+        """A store over already sealed chunks, shared rather than copied:
+        a chunk served by several stores (the HTAP frozen set's, across
+        merges and composed reads) decodes once for all of them."""
+        store = cls(schema, compress=False)
+        store._sealed = chunks
+        store._row_count = sum(next(iter(chunk.values())).row_count
+                               for chunk in chunks)
+        return store
 
     # -- ingest ---------------------------------------------------------
 
@@ -116,21 +130,7 @@ class ColumnStore:
 
     def _seal(self) -> None:
         cols = rows_to_columns(self._open, self.schema.column_names)
-        sealed: Dict[str, ColumnChunk] = {}
-        for col in self.schema.columns:
-            values = cols[col.name]
-            if self.compress:
-                codec, payload = compression.best_codec(values)
-            else:
-                codec, payload = "plain", list(values)
-            sealed[col.name] = ColumnChunk(
-                column=col.name,
-                data_type=col.data_type,
-                codec=codec,
-                payload=payload,
-                row_count=len(values),
-            )
-        self._sealed.append(sealed)
+        self._sealed.append(seal_columns(self.schema, cols, self.compress))
         self._open = []
 
     # -- scan -------------------------------------------------------------
@@ -196,6 +196,30 @@ class ColumnStore:
                     base, deltas = chunk.payload  # type: ignore[misc]
                     total += compression.DeltaCodec.encoded_size(base, deltas)
         return total
+
+
+def seal_columns(schema: TableSchema, columns: Dict[str, list],
+                 compress: bool) -> Dict[str, ColumnChunk]:
+    """One sealed chunk from per-column value lists of equal length.
+
+    The lists must already hold coerced values; an uncompressed chunk
+    keeps them as its payload, so the caller must not mutate them after.
+    """
+    sealed: Dict[str, ColumnChunk] = {}
+    for col in schema.columns:
+        values = columns[col.name]
+        if compress:
+            codec, payload = compression.best_codec(values)
+        else:
+            codec, payload = "plain", values
+        sealed[col.name] = ColumnChunk(
+            column=col.name,
+            data_type=col.data_type,
+            codec=codec,
+            payload=payload,
+            row_count=len(values),
+        )
+    return sealed
 
 
 def _unbox(value: object) -> object:

@@ -8,8 +8,9 @@ visibility lag under the SLA while OLTP writes keep arriving.
 
 from repro.autonomous.adbms import AutonomousManager
 from repro.cluster.mpp import MppCluster
-from repro.htap.manager import HtapConfig
+from repro.htap.manager import HtapConfig, _row_bytes
 from repro.sql.engine import SqlEngine
+from repro.storage import colstore
 
 
 def _engine(htap_enabled=True, num_dns=2, htap_config=None):
@@ -79,6 +80,38 @@ class TestSysViews:
         assert all(r[0] == "t" for r in rows)
         assert sum(r[1] for r in rows) == 5
         assert all(r[2] > 0 for r in rows)
+
+    def test_htap_merges_view_shows_a_merge_touches_only_the_delta(
+            self, monkeypatch):
+        # "A merge costs O(delta)" as a query: with 2-row chunks the five
+        # seed rows on one DN are three chunks (2, 2, 1).
+        monkeypatch.setattr(colstore, "DEFAULT_CHUNK_ROWS", 2)
+        cluster, engine = _engine(num_dns=1)
+        cluster.htap.tick()
+        tail = cluster.dns[0].htap.tables["t"].frozen.chunks[2]
+        engine.execute("insert into t values (6, 60)")
+        cluster.htap.tick()
+        engine.execute("update t set v = 11 where id = 1")
+        cluster.htap.tick()
+        rows = engine.execute(
+            "select delta_rows, frozen_rows, chunks_rewritten, chunks_total, "
+            "bytes from sys.htap_merges order by merge_id").rows
+        row_bytes = _row_bytes(cluster.catalog.schema("t"))
+        assert [r[:4] for r in rows] == [
+            (5, 5, 3, 3),    # the first merge builds every chunk
+            (1, 6, 1, 3),    # an insert only extends the last chunk ...
+            (1, 6, 1, 3)]    # ... and an update only copies its own
+        assert rows[1][4] <= 2 * 1 * row_bytes       # 2 x appended rows
+        assert rows[2][4] == (1 + 2 + 2) * row_bytes  # entry + chunk in/out
+        chunks = cluster.dns[0].htap.tables["t"].frozen.chunks
+        assert [len(c.keys) for c in chunks] == [2, 2, 2]
+        assert chunks[2] is not tail                 # extended by the insert
+        assert _counter(cluster, "htap.chunks_rewritten") == 5
+        # The update in chunk 0 left the tail untouched.
+        before = chunks[2]
+        engine.execute("update t set v = 12 where id = 1")
+        cluster.htap.tick()
+        assert cluster.dns[0].htap.tables["t"].frozen.chunks[2] is before
 
     def test_views_empty_when_disabled(self):
         cluster, engine = _engine(htap_enabled=False)
