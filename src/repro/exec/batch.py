@@ -1,28 +1,27 @@
 """Columnar batch execution: numpy column batches as the executor currency.
 
 The row executor in :mod:`repro.exec.operators` is a classic volcano
-pipeline — every operator yields Python tuples.  This module makes column
-batches (positionally schema-aligned :class:`~repro.storage.colstore.
-ColumnVector` lists) the unit of exchange instead: scans emit whole filtered
-chunks, filters and projections evaluate compiled numpy expressions over
-them, joins probe with vectorized key extraction, sorts run stable
-``np.lexsort`` passes, and the per-DN fragment path ships partial-aggregate
-states as object batches across exchanges.  Rows materialize only at the
-client boundary (or wherever a row-only operator sits above a batched one).
+pipeline — every operator yields Python tuples.  Here column batches
+(positionally schema-aligned :class:`~repro.storage.colstore.ColumnVector`
+lists) are the unit of exchange instead: scans emit filtered chunks (a row
+table's rows as schema-typed lanes), filters and projections run compiled
+numpy expressions, hash joins build and probe on key lanes, both
+aggregates fold lanes into their cells, sorts run stable ``np.lexsort``
+passes, and partial-aggregate states cross exchanges as object batches.
+Rows materialize only where a row-only operator (or the client) sits above.
 
-Two invariants keep batch execution *replay-identical* to the row path:
+Three invariants keep batch execution *replay-identical* to the row path:
 
 * **Row counts** — ``PhysicalOp._count_batches`` adds ``batch.n`` per batch,
-  so ``actual_rows`` (and with it every simulated profile time, which is a
-  pure function of row counts) matches the row path exactly.  Because a
-  ``LIMIT`` stops pulling mid-stream, batching is disabled in any subtree
-  under one — a batched descendant would count rows the row path never
-  produced.
-* **Values** — kernels either reuse the row path's own math (partial
-  aggregation states) or perform the same elementwise operation the row
-  expression interpreter would (comparisons, arithmetic on the same
-  operands), and the row bridge unboxes numpy scalars back to the Python
-  values the row path yields.
+  so ``actual_rows`` (and every simulated time derived from it) matches.
+  A ``LIMIT`` stops pulling mid-stream, so below one batching resumes only
+  beneath the first operator that drains its input, itself a row body.
+* **Values** — kernels reuse the row path's math (aggregate cells,
+  left-to-right sums) or compute what the row interpreter computes on
+  Python values (a batch on which int64 would wrap, or float64 round,
+  runs on Python objects), and the bridge unboxes to the row path's values.
+* **Memory** — a batch charges its entries with
+  ``OperatorMemory.grow_entries``: one ``grow`` per entry, spill for spill.
 
 ``enable_batches`` is the activation pass: it walks a physical plan, marks
 operators whose subtree can batch, and pre-compiles their expressions.
@@ -30,12 +29,16 @@ operators whose subtree can batch, and pre-compiles their expressions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+import math
+import operator
+from functools import reduce
+from itertools import count, islice
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.exec.vectorized import group_bounds
+from repro.exec.vectorized import beyond_float, comparable, group_bounds
 from repro.optimizer.expr import (
     BoundBinary,
     BoundColumn,
@@ -46,9 +49,10 @@ from repro.optimizer.expr import (
     BoundUnary,
 )
 from repro.storage.colstore import ColumnVector
+from repro.storage.types import DataType
 
 #: Rows per materialized batch for operators that re-chunk their output
-#: (sorts, partial-aggregate state shipping, the row->batch boundary).
+#: (sorts, aggregates, the row->batch boundary); read at call time.
 DEFAULT_BATCH_SIZE = 1024
 
 
@@ -94,43 +98,59 @@ def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
 
 
 def batches_from_rows(rows: Iterable[tuple], width: int,
-                      batch_size: int) -> Iterator[Batch]:
-    """Wrap a row stream into object-dtype batches.
+                      batch_size: Optional[int] = None,
+                      types: Optional[Sequence[Optional[DataType]]] = None
+                      ) -> Iterator[Batch]:
+    """The row->batch boundary: ``batch_size`` (by default
+    ``DEFAULT_BATCH_SIZE``, read at call time) rows per batch.
 
-    Values are stored as the exact Python objects the row produced (state
-    tuples included), so bridging back to rows reproduces them bit for bit.
+    Lanes are object dtype holding the rows' exact Python objects, or —
+    with ``types``, for values a table stored coerced to its schema — the
+    type's numpy dtype (TEXT, an unknown type or an unfit value: object).
     """
-    buf: List[tuple] = []
-    for row in rows:
-        buf.append(row)
-        if len(buf) >= batch_size:
-            yield Batch(_object_columns(buf, width), len(buf))
-            buf = []
-    if buf:
-        yield Batch(_object_columns(buf, width), len(buf))
+    types = types if types is not None else (None,) * width
+    batch_size = batch_size or DEFAULT_BATCH_SIZE
+    rows = iter(rows)
+    while True:
+        buf = list(islice(rows, batch_size))
+        if not buf:
+            return
+        yield Batch([_lane(column, data_type)
+                     for column, data_type in zip(zip(*buf), types)],
+                    len(buf))
 
 
-def _object_columns(rows: List[tuple], width: int) -> List[ColumnVector]:
-    cols = []
-    for j in range(width):
-        data = np.empty(len(rows), dtype=object)
-        validity = np.empty(len(rows), dtype=bool)
-        for i, row in enumerate(rows):
-            value = row[j]
-            data[i] = value
-            validity[i] = value is not None
-        cols.append(ColumnVector(data, validity))
-    return cols
+def _lane(values: tuple, data_type: Optional[DataType]) -> ColumnVector:
+    n = len(values)
+    if data_type is not None and data_type is not DataType.TEXT:
+        try:
+            if None not in values:
+                return ColumnVector(np.array(values, data_type.numpy_dtype),
+                                    np.ones(n, dtype=bool))
+            return ColumnVector(
+                np.array([0 if v is None else v for v in values],
+                         data_type.numpy_dtype),
+                np.array([v is not None for v in values], dtype=bool))
+        except (OverflowError, TypeError, ValueError):
+            pass
+    return ColumnVector(np.fromiter(values, dtype=object, count=n),
+                        np.fromiter((v is not None for v in values),
+                                    dtype=bool, count=n))
 
 
 def concat_batches(batches: List[Batch], width: int) -> Batch:
+    """One batch of ``batches`` back to back.  A column whose lanes differ
+    in dtype (union inputs) concatenates as object, so no value is cast."""
     if len(batches) == 1:
         return batches[0]
-    columns = [
-        ColumnVector(np.concatenate([b.columns[j].data for b in batches]),
-                     np.concatenate([b.columns[j].validity for b in batches]))
-        for j in range(width)
-    ]
+    columns = []
+    for j in range(width):
+        datas = [b.columns[j].data for b in batches]
+        if len({data.dtype for data in datas}) > 1:
+            datas = [data.astype(object) for data in datas]
+        columns.append(ColumnVector(
+            np.concatenate(datas),
+            np.concatenate([b.columns[j].validity for b in batches])))
     return Batch(columns, sum(b.n for b in batches))
 
 
@@ -139,28 +159,51 @@ def concat_batches(batches: List[Batch], width: int) -> Batch:
 # ``compile_expr`` turns a bound expression into a ``Batch -> ColumnVector``
 # function, or returns None when the expression uses something the batch
 # interpreter cannot reproduce exactly (LIKE, CASE, scalar calls, string
-# concat, division by a non-constant) — the operator then stays on the row
-# path.  NULL handling mirrors the row interpreter's semantics operator for
-# operator (including its short-circuit AND, where a NULL left side yields
-# NULL regardless of the right side).
+# concat, ``/`` or ``%`` by a non-constant) — the operator then stays on the
+# row path.  NULL handling mirrors the row interpreter's semantics operator
+# for operator (including its short-circuit AND, where a NULL left side
+# yields NULL regardless of the right side).  A batch whose int64 lanes
+# would wrap, or round past 2**53 as floats, runs on Python objects.
 
 BatchFn = Callable[[Batch], ColumnVector]
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "%": operator.mod, "/": operator.truediv}
 
-_ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
-}
+
+def _compare(op: str):
+    cmp = _CMP[op]
+    return lambda a, b: cmp(*comparable(a, b))
+
+
+def _ints(data: np.ndarray) -> np.ndarray:
+    # Python's bools add as ints; numpy's would OR
+    return data.astype(np.int64) if data.dtype == np.bool_ else data
+
+
+def _arithmetic(op: str):
+    fn = _ARITH[op]
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a, b = _ints(a), _ints(b)
+        if (a.dtype.kind == "i" and b.dtype.kind == "i"
+                and _int64_differs(op, fn, a, b)):
+            a, b = a.astype(object), b.astype(object)
+        return fn(a, b)
+
+    return kernel
+
+
+def _int64_differs(op: str, fn, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a op b`` on int64 lanes can differ from Python's ints:
+    ``/`` divides as floats, ``+ - *`` wrap past int64 (a float estimate
+    below 2**62 cannot hide a wrap), ``%`` by a non-zero constant never."""
+    if op in "/%":
+        return op == "/" and (beyond_float(a) or beyond_float(b))
+    estimate = fn(a.astype(np.float64), b.astype(np.float64))
+    return bool((np.abs(estimate) >= 2.0 ** 62).any())
 
 
 def truth_mask(vec: ColumnVector) -> np.ndarray:
@@ -179,7 +222,7 @@ def _const_vector(value: object, n: int) -> ColumnVector:
     if isinstance(value, bool):
         dtype = np.bool_
     elif isinstance(value, int):
-        dtype = np.int64
+        dtype = np.int64 if -2 ** 63 <= value < 2 ** 63 else object
     elif isinstance(value, float):
         dtype = np.float64
     else:
@@ -197,22 +240,17 @@ def _lanewise(fn, left: ColumnVector, right: ColumnVector, n: int,
     hold a dtype sentinel and validity False — NULL in, NULL out.
     """
     both = left.validity & right.validity
-    if both.all():
-        try:
-            data = fn(left.data, right.data)
-        except TypeError:
-            raise ExecutionError("cannot compare incompatible batch lanes"
-                                 ) from None
-        data = np.asarray(data)
-        return ColumnVector(data, both)
-    if not both.any():
-        dtype = out_dtype if out_dtype is not None else np.int64
-        return ColumnVector(np.zeros(n, dtype=dtype), both)
+    whole = both.all()
+    if not whole and not both.any():
+        return ColumnVector(np.zeros(n, dtype=out_dtype or np.int64), both)
     try:
-        sub = np.asarray(fn(left.data[both], right.data[both]))
+        sub = np.asarray(fn(left.data, right.data) if whole
+                         else fn(left.data[both], right.data[both]))
     except TypeError:
         raise ExecutionError("cannot compare incompatible batch lanes"
                              ) from None
+    if whole:
+        return ColumnVector(sub, both)
     data = np.zeros(n, dtype=sub.dtype if out_dtype is None else out_dtype)
     data[both] = sub
     return ColumnVector(data, both)
@@ -252,12 +290,14 @@ def compile_expr(expr: BoundExpr) -> Optional[BatchFn]:
         if expr.op == "-":
             def minus(batch: Batch) -> ColumnVector:
                 vec = fn(batch)
-                if vec.data.dtype == object:
-                    data = np.array(
-                        [-v if valid else 0 for v, valid
-                         in zip(vec.data, vec.validity)], dtype=object)
+                data = _ints(vec.data)
+                if data.dtype == object or (data == -2 ** 63).any():
+                    # NULL lanes of an object lane may hold None; and
+                    # -(-2**63) wraps in int64
+                    data = np.array([-v if valid else 0 for v, valid in zip(
+                        data.tolist(), vec.validity.tolist())], dtype=object)
                 else:
-                    data = -vec.data
+                    data = -data
                 return ColumnVector(data, vec.validity)
 
             return minus
@@ -275,6 +315,7 @@ def _compile_in_list(expr: BoundInList) -> Optional[BatchFn]:
     if needle_fn is None or any(fn is None for fn in item_fns):
         return None
     negated = expr.negated
+    equal = _compare("=")
 
     def in_list(batch: Batch) -> ColumnVector:
         needle = needle_fn(batch)
@@ -282,7 +323,7 @@ def _compile_in_list(expr: BoundInList) -> Optional[BatchFn]:
         for fn in item_fns:
             item = fn(batch)
             # Row semantics: a NULL item simply never matches (== is False).
-            eq = _lanewise(lambda a, b: a == b, needle, item, batch.n)
+            eq = _lanewise(equal, needle, item, batch.n)
             found |= eq.data.astype(bool) & eq.validity
         return ColumnVector(~found if negated else found, needle.validity)
 
@@ -315,7 +356,7 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
 
         return or_
     if op in _CMP:
-        cmp = _CMP[op]
+        cmp = _compare(op)
 
         def compare(batch: Batch) -> ColumnVector:
             vec = _lanewise(cmp, left_fn(batch), right_fn(batch), batch.n,
@@ -325,23 +366,19 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
             return vec
 
         return compare
-    if op == "/":
+    if op in _ARITH:
         # Only a non-zero constant divisor is compiled: the row interpreter
         # raises per offending row, a semantics a whole-batch kernel cannot
         # reproduce for arbitrary divisors.
-        if not isinstance(expr.right, BoundConst) or expr.right.value in (None, 0):
+        if op in ("/", "%") and (not isinstance(expr.right, BoundConst)
+                                 or expr.right.value in (None, 0)):
             return None
-
-        def divide(batch: Batch) -> ColumnVector:
-            return _lanewise(lambda a, b: a / b, left_fn(batch),
-                             right_fn(batch), batch.n, out_dtype=np.float64)
-
-        return divide
-    if op in _ARITH:
-        arith = _ARITH[op]
+        arith = _arithmetic(op)
+        out_dtype = np.float64 if op == "/" else None
 
         def arithmetic(batch: Batch) -> ColumnVector:
-            return _lanewise(arith, left_fn(batch), right_fn(batch), batch.n)
+            return _lanewise(arith, left_fn(batch), right_fn(batch), batch.n,
+                             out_dtype=out_dtype)
 
         return arithmetic
     return None
@@ -349,119 +386,131 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
 
 # -- partial aggregation --------------------------------------------------
 
-def partial_states_from_batches(agg) -> Optional[Iterator[tuple]]:
-    """The lane fold: ``PPartialAgg`` over column batches.
+_LANE_FUNCS = ("count", "sum", "avg", "min", "max")
 
-    Fills the same ``[count, total, min, max]`` cells as the row fold
-    (``operators._fold_rows``) and reproduces its math bit for bit:
 
-    * sums accumulate with ``sum(values, start)`` — the same left-to-right
-      float additions, in the same row order, as ``cell[1] += value``;
-    * groups are created in first-seen row order (the NULL group
-      included), so state rows emit in exactly the row fold's order;
-    * counts skip NULL arguments, min/max compare the same values.
+def compile_fold(agg, ops) -> Optional[Tuple[List[BatchFn], list]]:
+    """``(group fns, argument fns)`` (``None`` for ``COUNT(*)``) when the
+    lane fold covers ``agg``; ``None`` — the row fold — for DISTINCT, an
+    expression without a batch form, or a child that ships partial-state
+    tuples."""
+    if _ships_states(agg.child, ops) or any(
+            spec.distinct or spec.func not in _LANE_FUNCS
+            for spec in agg.aggs):
+        return None
+    group_fns = [compile_expr(g) for g in agg.group_exprs]
+    arg_fns = [None if spec.arg is None else compile_expr(spec.arg)
+               for spec in agg.aggs]
+    if None in group_fns or any(fn is None and spec.arg is not None
+                                for fn, spec in zip(arg_fns, agg.aggs)):
+        return None
+    return group_fns, arg_fns
 
-    Returns ``None`` when the shape is out of scope (multi-column group
-    keys, uncompilable arguments, children that can carry object-typed
-    state columns) — the caller runs the row fold over bridged rows.
+
+def _ships_states(op, ops) -> bool:
+    return isinstance(op, ops.PPartialAgg) or (
+        isinstance(op, (ops.PExchange, ops.PFragment, ops.PUnionAll))
+        and any(_ships_states(child, ops) for child in op.children()))
+
+
+def partial_states_from_batches(agg) -> Iterator[Tuple[tuple, List[list]]]:
+    """The lane fold: ``(group key, cells)`` of ``PHashAggregate`` or
+    ``PPartialAgg`` over its child's batches.
+
+    Fills the row fold's (``operators._fold_rows``) ``[count, total, min,
+    max]`` cells exactly: groups are the distinct tuples of the group lanes
+    (NULL a value of its own per column), created and charged to memory in
+    first-seen order, keyed by their first row's Python values; sums add
+    left to right in row order (the row fold's ``cell[1] += value``);
+    counts skip NULLs; min/max keep the first of equal values.  The
+    release is left to the caller.
     """
-    child = agg.child
-    if not child.batch_mode:
-        return None
-    from repro.exec import operators as ops
-    if not isinstance(child, (ops.PScan, ops.PFilter)):
-        # joins and state-shipping children can carry object-dtype columns
-        # whose lanes np.unique cannot order; stay on the row fold there
-        return None
-    if len(agg.group_exprs) > 1:
-        return None
-    group_fn = None
-    if agg.group_exprs:
-        group_fn = compile_expr(agg.group_exprs[0])
-        if group_fn is None:
-            return None
-    arg_fns: List[Optional[BatchFn]] = []          # None = COUNT(*)
-    for spec in agg.aggs:
-        if spec.distinct or spec.func not in ("count", "sum", "avg",
-                                              "min", "max"):
-            return None
-        fn = None
-        if spec.arg is not None:
-            fn = compile_expr(spec.arg)
-            if fn is None:
-                return None
-        arg_fns.append(fn)
-    return _partial_states_iter(agg, group_fn, arg_fns)
-
-
-def _partial_states_iter(agg, group_fn, arg_fns) -> Iterator[tuple]:
     from repro.exec.operators import _new_cells, _op_memory
 
-    mem, entry_bytes = _op_memory(agg)
+    group_fns, arg_fns = agg._lane_fns
     specs = agg.aggs
+    mem, entry_bytes = _op_memory(agg)
     states: dict = {}
+    for batch in agg.child.batches():
+        if not batch.n:
+            continue
+        args = [None if fn is None else fn(batch) for fn in arg_fns]
+        groups = (_groups([fn(batch) for fn in group_fns], batch.n)
+                  if group_fns else [((), np.arange(batch.n))])
+        for key, member in groups:
+            cells = states.get(key)
+            if cells is None:
+                cells = states[key] = _new_cells(specs)
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            _feed(specs, cells, member, args)
+    if not states and not group_fns:
+        states[()] = _new_cells(specs)     # empty state, nothing charged
+    yield from states.items()
 
-    def cells_for(key: tuple) -> List[list]:
-        cells = states.get(key)
-        if cells is None:
-            cells = states[key] = _new_cells(specs)
-            if mem is not None:
-                mem.grow(entry_bytes)
-        return cells
 
-    def feed(cells: List[list], member: np.ndarray,
-             arg_vecs: List[Optional[ColumnVector]]) -> None:
-        for spec, cell, vec in zip(specs, cells, arg_vecs):
-            if vec is None:                        # COUNT(*)
-                cell[0] += len(member)
-                continue
-            mvalid = vec.validity[member]
-            sub = member if mvalid.all() else member[mvalid]
-            k = int(len(sub))
-            if not k:
-                continue
-            cell[0] += k
-            func = spec.func
-            if func in ("sum", "avg"):
-                # left-to-right adds from the running total: identical
-                # float rounding to the row fold's per-row `+=`
-                cell[1] = sum(vec.data[sub].tolist(), cell[1])
-            elif func == "min":
-                low = min(vec.data[sub].tolist())
-                if cell[2] is None or low < cell[2]:
-                    cell[2] = low
-            elif func == "max":
-                high = max(vec.data[sub].tolist())
-                if cell[3] is None or high > cell[3]:
-                    cell[3] = high
+def _groups(vecs: List[ColumnVector], n: int):
+    """``(key, lanes)`` per distinct key tuple, in first-seen order; the
+    lanes of a group ascend."""
+    _, order, bounds = group_bounds(_pack(vecs, n))
+    firsts = order[bounds[:-1]]
+    keys = list(zip(*[
+        [v if ok else None
+         for v, ok in zip(vec.data[firsts].tolist(),
+                          vec.validity[firsts].tolist())]
+        for vec in vecs]))
+    for g in np.argsort(firsts).tolist():
+        yield keys[g], order[bounds[g]:bounds[g + 1]]
 
-    try:
-        for batch in agg.child.batches():
-            arg_vecs = [None if fn is None else fn(batch) for fn in arg_fns]
-            if group_fn is None:
-                feed(cells_for(()), np.arange(batch.n), arg_vecs)
-                continue
-            gvec = group_fn(batch)
-            valid_idx = np.flatnonzero(gvec.validity)
-            uniq, order, bounds = group_bounds(gvec.data[valid_idx])
-            keys = [(value,) for value in uniq.tolist()]
-            members = [valid_idx[order[bounds[i]:bounds[i + 1]]]
-                       for i in range(len(keys))]
-            if len(valid_idx) < batch.n:           # the NULL group
-                keys.append((None,))
-                members.append(np.flatnonzero(~gvec.validity))
-            # each member list ascends, so its head is the group's first
-            # row: feeding by that creates groups in first-seen row order,
-            # exactly like the row fold's dict
-            for i in np.argsort([m[0] for m in members]).tolist():
-                feed(cells_for(keys[i]), members[i], arg_vecs)
-        if not states and group_fn is None:
-            states[()] = _new_cells(specs)     # empty state, nothing charged
-        for key, cells in states.items():
-            yield key + tuple(tuple(cell) for cell in cells)
-    finally:
-        if mem is not None:
-            mem.finish()
+
+def _pack(vecs: List[ColumnVector], n: int) -> np.ndarray:
+    """One code (at most ``n``) per lane for its tuple of values: equal
+    tuples, equal codes; NULL is one more value in each column."""
+    code = None
+    for vec in vecs:
+        data = vec.data[vec.validity]
+        if data.dtype == object:
+            # a dict, like the row fold's (and no sort of Python objects):
+            # each value's code is the position it was first seen at
+            seen: dict = {}
+            inverse = np.fromiter(map(seen.setdefault, data.tolist(), count()),
+                                  dtype=np.int64, count=len(data))
+            null_code = len(data)
+        else:
+            uniq, inverse = np.unique(data, return_inverse=True)
+            null_code = len(uniq)
+        column = np.full(n, null_code, dtype=np.int64)
+        column[vec.validity] = inverse
+        # codes stay at most n (re-densified once combined), so the
+        # product stays below n * (n + 1)
+        code = column if code is None else np.unique(
+            code * (null_code + 1) + column, return_inverse=True)[1]
+    return code
+
+
+def _feed(specs, cells: List[list], member: np.ndarray,
+          args: List[Optional[ColumnVector]]) -> None:
+    for spec, cell, vec in zip(specs, cells, args):
+        if vec is None:                        # COUNT(*)
+            cell[0] += len(member)
+            continue
+        valid = vec.validity[member]
+        values = vec.data[member if valid.all() else member[valid]].tolist()
+        if not values:
+            continue
+        cell[0] += len(values)
+        func = spec.func
+        if func in ("sum", "avg"):
+            # not sum(): from Python 3.12 it compensates float rounding
+            cell[1] = reduce(operator.add, values, cell[1])
+        elif func == "min":
+            low = min(values)
+            if cell[2] is None or low < cell[2]:
+                cell[2] = low
+        elif func == "max":
+            high = max(values)
+            if cell[3] is None or high > cell[3]:
+                cell[3] = high
 
 
 # -- sort kernel ----------------------------------------------------------
@@ -518,39 +567,88 @@ def sorted_batches(sort_op, collected: List[Batch]) -> Iterator[Batch]:
         yield big.take(order[start:start + DEFAULT_BATCH_SIZE])
 
 
-# -- join probe -----------------------------------------------------------
+# -- hash join ------------------------------------------------------------
 
-def probe_batches(join, table) -> Iterator[Batch]:
-    """Vectorized-probe inner equi-join: batched left, row-built right.
+def hash_join_batches(join) -> Iterator[Batch]:
+    """Inner equi-join on lanes: build, then probe, the row body's output.
 
-    Keys are extracted with compiled batch expressions; the per-lane dict
-    probe emits (left lane, build row) pairs in lane-major, build-insertion
-    order — the exact output order of the row path's probe loop.  Right-side
-    columns materialize as object vectors holding the build rows' original
-    Python values.
+    Build rows with a valid (non-NULL) key are charged to memory as the
+    row body charges them: per batch with ``grow_entries``, or — from a
+    row-body build side — row by row as they are pulled, then collected
+    into one object batch.  Valid build lanes are stably sorted by key
+    code, so each key's lanes keep build-insertion order; a probe lane
+    finds its match range with ``searchsorted`` and ``np.repeat`` expands
+    the ranges, lane-major: the row probe's exact output order.  Right
+    columns are gathered with ``take``.  Keys compare as Python values do
+    (``1 = 1.0``, exactly past 2**53); a NULL key never matches.
     """
-    key_fns = join._batch_keys
-    right_width = len(join.right.schema)
-    for batch in join.left.batches():
-        key_vecs = [fn(batch) for fn in key_fns]
-        left_idx: List[int] = []
-        right_rows: List[tuple] = []
-        for i in range(batch.n):
-            if not all(vec.validity[i] for vec in key_vecs):
+    from repro.exec.operators import _op_memory
+
+    left_fns, right_fns = join._batch_keys
+    right = join.right
+    width = len(right.schema)
+    mem, entry_bytes = _op_memory(join, right.schema)
+    try:
+        kept = []
+        if right.batch_mode:
+            for batch in right.batches():
+                valid = _all_valid([fn(batch) for fn in right_fns])
+                entries = int(valid.sum())
+                if mem is not None:
+                    mem.grow_entries(entry_bytes, entries)
+                if entries:
+                    kept.append(batch if entries == batch.n
+                                else batch.select(valid))
+        else:
+            rows = [row for _, row in join._build_rows(mem, entry_bytes)]
+            kept = list(batches_from_rows(rows, width, len(rows) or 1))
+        if not kept:
+            for _ in join.left.batches():      # the probe side still runs
+                pass
+            return
+        build = concat_batches(kept, width)
+        keys = [fn(build).data for fn in right_fns]
+        uniqs = [np.unique(key) for key in keys]
+        codes, _ = _key_codes(uniqs, keys)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        for batch in join.left.batches():
+            vecs = [fn(batch) for fn in left_fns]
+            lanes = np.flatnonzero(_all_valid(vecs))
+            probe, hit = _key_codes(uniqs, [vec.data[lanes] for vec in vecs])
+            low = np.searchsorted(codes, probe)
+            counts = np.where(hit, np.searchsorted(codes, probe, "right")
+                              - low, 0)
+            total = int(counts.sum())
+            if not total:
                 continue
-            matches = table.get(tuple(vec.data[i] for vec in key_vecs))
-            if not matches:
-                continue
-            for row in matches:
-                left_idx.append(i)
-                right_rows.append(row)
-        if not left_idx:
-            continue
-        idx = np.asarray(left_idx, dtype=np.int64)
-        left_cols = [ColumnVector(c.data[idx], c.validity[idx])
-                     for c in batch.columns]
-        yield Batch(left_cols + _object_columns(right_rows, right_width),
-                    len(idx))
+            starts = np.repeat(low - np.cumsum(counts) + counts, counts)
+            picked = order[starts + np.arange(total)]
+            yield Batch(batch.take(np.repeat(lanes, counts)).columns
+                        + build.take(picked).columns, total)
+    finally:
+        if mem is not None:
+            mem.finish()
+
+
+def _all_valid(vecs: List[ColumnVector]) -> np.ndarray:
+    return np.logical_and.reduce([vec.validity for vec in vecs])
+
+
+def _key_codes(uniqs: List[np.ndarray], datas: List[np.ndarray]):
+    """``(codes, hit)``: each lane's key tuple as one mixed-radix code of
+    its components' positions in the build side's sorted distinct values
+    (``uniqs``), and whether every component is one of them."""
+    radix = math.prod(len(u) for u in uniqs)
+    codes = np.zeros(len(datas[0]),
+                     dtype=np.int64 if radix < 2 ** 62 else object)
+    hit = np.ones(len(datas[0]), dtype=bool)
+    for uniq, data in zip(uniqs, datas):
+        uniq, data = comparable(uniq, data)
+        pos = np.searchsorted(uniq, data)
+        hit &= uniq[np.minimum(pos, len(uniq) - 1)] == data
+        codes = codes * len(uniq) + pos
+    return codes, hit
 
 
 # -- activation pass ------------------------------------------------------
@@ -558,12 +656,12 @@ def probe_batches(join, table) -> Iterator[Batch]:
 def enable_batches(root) -> None:
     """Mark every operator whose subtree can run in batch mode.
 
-    Top-down: a ``LIMIT`` forbids batching in its whole subtree (it stops
-    pulling mid-stream, so a batched descendant would over-count rows
-    relative to the row path); every other operator fully drains its
-    children, which makes batch->row bridges count-exact.  Compiled batch
-    expressions are cached on the operators, so a plan activated once (and
-    then held in the plan cache) never recompiles.
+    A ``LIMIT`` stops pulling mid-stream, so a batched descendant would
+    count rows the row path never produced.  Below it, batching resumes
+    beneath the first operator that drains its input before emitting a
+    row — a sort, an aggregate, a hash join's build side — which itself
+    stays a row body, counted per row as the ``LIMIT`` pulls it.  Compiled
+    expressions are cached on the operators (and so in the plan cache).
     """
     _activate(root, allow=True)
 
@@ -574,63 +672,64 @@ def _activate(op, allow: bool) -> None:
     if isinstance(op, ops.PLimit):
         allow = False
     for child in op.children():
-        _activate(child, allow)
-    op.batch_mode = allow and _can_batch(op, ops)
+        _activate(child, allow or _drains(op, child, ops))
+    # compiled even where not allowed: a row-body aggregate still folds
+    # the lanes of a batched child
+    op.batch_mode = _can_batch(op, ops) and allow
+
+
+def _drains(op, child, ops) -> bool:
+    """Whether ``op`` pulls all of ``child`` before it emits a row."""
+    if isinstance(op, ops.PHashJoin):
+        return child is op.right
+    return isinstance(op, (ops.PSort, ops.PHashAggregate, ops.PPartialAgg,
+                           ops.PFinalAgg))
 
 
 def _can_batch(op, ops) -> bool:
     if isinstance(op, ops.PScan):
-        if op.vector_store is None:
+        if isinstance(op, ops.PKeyLookup):
             return False
-        if op.vector_preds is not None:
+        op._batch_pred = None
+        if op.vector_preds is not None or op.predicate is None:
             return True
-        if op.predicate is None:
-            return False
-        pred_fn = compile_expr(op.predicate)
-        if pred_fn is None:
-            return False
-        op._batch_pred = pred_fn
-        return True
+        op._batch_pred = compile_expr(op.predicate)
+        # a row source filters with the interpreter when the predicate
+        # has no batch form; a column store has no rows to filter
+        return op._batch_pred is not None or op.vector_store is None
+    if (isinstance(op, (ops.PFilter, ops.PProject, ops.PSort))
+            and not op.child.batch_mode):
+        return False
     if isinstance(op, ops.PFilter):
-        if not op.child.batch_mode:
-            return False
-        pred_fn = compile_expr(op.predicate)
-        if pred_fn is None:
-            return False
-        op._batch_pred = pred_fn
-        return True
+        op._batch_pred = compile_expr(op.predicate)
+        return op._batch_pred is not None
     if isinstance(op, ops.PProject):
-        if not op.child.batch_mode:
-            return False
-        fns = [compile_expr(e) for e in op.exprs]
-        if any(fn is None for fn in fns):
-            return False
-        op._batch_exprs = fns
-        return True
+        op._batch_exprs = [compile_expr(e) for e in op.exprs]
+        return None not in op._batch_exprs
     if isinstance(op, ops.PSort):
-        if not op.child.batch_mode:
-            return False
-        keys = [(compile_expr(e), d) for e, d in op.keys]
-        if any(fn is None for fn, _ in keys):
-            return False
-        op._batch_keys = keys
-        return True
+        op._batch_keys = [(compile_expr(e), d) for e, d in op.keys]
+        return all(fn is not None for fn, _ in op._batch_keys)
     if isinstance(op, ops.PHashJoin):
-        # Inner equi-joins without residuals: the probe's output order is
-        # lane-major/build-order either way.  Outer joins and residuals
-        # interleave pad rows mid-stream and stay on the row path.
+        # Outer joins and residuals interleave pad rows mid-stream; a text
+        # key beside a numeric one (or an unknown type) never equals it in
+        # the row body's dict, and numpy cannot order the two.
         if op.kind != "inner" or op.residual is not None:
             return False
-        if not op.left.batch_mode:
+        text = DataType.TEXT
+        if not op.left.batch_mode or any(
+                None in (l.data_type, r.data_type)
+                or (l.data_type is text) != (r.data_type is text)
+                for l, r in zip(op.left_keys, op.right_keys)):
             return False
-        keys = [compile_expr(k) for k in op.left_keys]
-        if any(fn is None for fn in keys):
+        left = [compile_expr(k) for k in op.left_keys]
+        right = [compile_expr(k) for k in op.right_keys]
+        if None in left or None in right:
             return False
-        op._batch_keys = keys
+        op._batch_keys = (left, right)
         return True
-    if isinstance(op, ops.PPartialAgg):
-        # Folds lanes or bridged rows into the same cells and ships the
-        # state rows as object batches, so exchange serialization is batched.
+    if isinstance(op, (ops.PHashAggregate, ops.PPartialAgg)):
+        # lanes (or bridged rows) fold into cells; results leave as objects
+        op._lane_fns = compile_fold(op, ops)
         return True
     if isinstance(op, (ops.PFragment,)):
         return op.child.batch_mode

@@ -163,7 +163,9 @@ class PScan(PhysicalOp):
     When the engine binds a column store for this scan target (a
     column-oriented table's shard), :meth:`execute_batches` is the one
     column scan: batch-mode parents consume it directly, and ``execute``
-    bridges it back to rows wherever a row-only parent sits above.
+    bridges it back to rows wherever a row-only parent sits above.  A
+    row-oriented table batches too: the rows its row body would yield,
+    in the same order, become lanes of the schema's types.
 
     A coordinator-side scan of a distributed table is not free: every raw
     tuple crosses the network from ``remote_sources`` shards before the
@@ -172,6 +174,10 @@ class PScan(PhysicalOp):
     model the exchanges use — this is what makes the gather-all baseline
     honest next to fragmented plans, whose per-DN scans are local reads.
     """
+
+    #: The predicate's compiled batch expression, set by the activation
+    #: pass; ``None`` where spec masks or the row interpreter filter.
+    _batch_pred = None
 
     def __init__(self, table: str, source: Callable[[], Iterable[tuple]],
                  schema: Schema, predicate: Optional[BoundExpr] = None,
@@ -206,6 +212,13 @@ class PScan(PhysicalOp):
             self.scanned_rows += 1
             yield row
 
+    def _filtered(self) -> Iterator[tuple]:
+        """The source's rows the predicate keeps, by the row interpreter."""
+        predicate = self.predicate
+        if predicate is None:
+            return self._drain()
+        return (row for row in self._drain() if predicate.eval(row))
+
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
@@ -215,38 +228,40 @@ class PScan(PhysicalOp):
             from repro.exec.batch import rows_from_batches
 
             return self._count(rows_from_batches(self.execute_batches()))
-        rows = self._drain()
-        if self.predicate is not None:
-            predicate = self.predicate
-            rows = (row for row in rows if predicate.eval(row))
-        return self._count(rows)
+        return self._count(self._filtered())
 
     def execute_batches(self):
-        """Filtered column batches straight off the shard's column store.
+        """Filtered column batches off the shard's column store, or off
+        the row source as typed lanes.
 
-        Compiled vector predicates filter via selection masks; a predicate
-        too rich for vector specs is evaluated by its compiled batch
-        expression over whole chunks instead (``_batch_pred``, set by the
-        activation pass).
+        Compiled vector predicates filter a store's chunks via selection
+        masks; any other predicate is evaluated by its compiled batch
+        expression over whole batches (``_batch_pred``, set by the
+        activation pass), or — on a row source, where it has no batch
+        form — by the row interpreter before the rows become lanes.
         """
-        from repro.exec.batch import Batch, truth_mask
+        from repro.exec.batch import Batch, batches_from_rows, truth_mask
         from repro.exec.vectorized import scan_filter_vectors
 
-        store = self.vector_store()
         names = [c.name for c in self.schema]
-        if self.vector_preds is not None:
-            for chunk in scan_filter_vectors(store, names, self.vector_preds):
-                yield Batch([chunk[name] for name in names],
-                            len(chunk[names[0]]))
-            return
         pred = self._batch_pred
-        for chunk in scan_filter_vectors(store, names):
-            batch = Batch([chunk[name] for name in names],
-                          len(chunk[names[0]]))
-            mask = truth_mask(pred(batch))
-            if not mask.any():
-                continue
-            yield batch if mask.all() else batch.select(mask)
+        if self.vector_store is None:
+            batches = batches_from_rows(
+                self._filtered() if pred is None else self._drain(),
+                len(names), types=[c.data_type for c in self.schema])
+        else:
+            batches = (Batch([chunk[name] for name in names],
+                             len(chunk[names[0]]))
+                       for chunk in scan_filter_vectors(
+                           self.vector_store(), names, self.vector_preds or ()))
+        for batch in batches:
+            if pred is not None:
+                mask = truth_mask(pred(batch))
+                if not mask.any():
+                    continue
+                if not mask.all():
+                    batch = batch.select(mask)
+            yield batch
 
     def sim_self_time_us(self, rows_in: int, rows_out: int,
                          batches: int) -> Optional[float]:
@@ -428,21 +443,23 @@ class PHashJoin(PhysicalOp):
             return self._bridge_rows()
         return self._count(self._join())
 
-    def _build_table(self, mem, entry_bytes: int) -> Dict[tuple, List[tuple]]:
-        table: Dict[tuple, List[tuple]] = {}
+    def _build_rows(self, mem, entry_bytes) -> Iterator[Tuple[tuple, tuple]]:
+        """``(key, row)`` per build row with a non-NULL key, each charged
+        to memory before the next row is pulled."""
         for row in self.right.execute():
             key = tuple(k.eval(row) for k in self.right_keys)
             if any(v is None for v in key):
                 continue
-            table.setdefault(key, []).append(row)
             if mem is not None:
                 mem.grow(entry_bytes)
-        return table
+            yield key, row
 
     def _join(self) -> Iterator[tuple]:
         mem, entry_bytes = _op_memory(self, self.right.schema)
         try:
-            table = self._build_table(mem, entry_bytes)
+            table: Dict[tuple, List[tuple]] = {}
+            for key, row in self._build_rows(mem, entry_bytes):
+                table.setdefault(key, []).append(row)
             null_pad = (None,) * len(self.right.schema)
             residual = self.residual
             for lrow in self.left.execute():
@@ -461,20 +478,11 @@ class PHashJoin(PhysicalOp):
                 mem.finish()
 
     def execute_batches(self):
-        """Batched probe: row-built hash table, vectorized key extraction.
+        """Build and probe on key lanes, emitting combined batches in the
+        row body's exact output order (``batch.hash_join_batches``)."""
+        from repro.exec.batch import hash_join_batches
 
-        The build side stays row-at-a-time (identical memory accounting and
-        NULL-key handling); the probe consumes left batches and emits
-        combined batches in the row path's exact output order.
-        """
-        from repro.exec.batch import probe_batches
-
-        mem, entry_bytes = _op_memory(self, self.right.schema)
-        try:
-            yield from probe_batches(self, self._build_table(mem, entry_bytes))
-        finally:
-            if mem is not None:
-                mem.finish()
+        return hash_join_batches(self)
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -584,38 +592,44 @@ def _fold_rows(op) -> Iterator[Tuple[tuple, List[List[object]]]]:
     Shared by :class:`PHashAggregate` and :class:`PPartialAgg`.  A
     ``DISTINCT`` aggregate also keeps, per cell, the set of values it has
     folded and skips repeats.  A global aggregate over zero rows still
-    yields one (empty) group.
+    yields one (empty) group.  Each new group is charged to the
+    aggregate's memory, which its caller releases.
     """
     mem, entry_bytes = _op_memory(op)
     aggs, group_exprs = op.aggs, op.group_exprs
     any_distinct = any(a.distinct for a in aggs)
-    try:
-        groups: Dict[tuple, List[List[object]]] = {}
-        seen: Dict[int, set] = {}       # id(cell) -> values folded into it
-        for row in op.child.execute():
-            key = tuple(g.eval(row) for g in group_exprs)
-            cells = groups.get(key)
-            if cells is None:
-                cells = groups[key] = _new_cells(aggs)
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            for spec, cell in zip(aggs, cells):
-                value = _STAR if spec.arg is None else spec.arg.eval(row)
-                if any_distinct and spec.distinct:
-                    values = seen.setdefault(id(cell), set())
-                    if value in values:
-                        continue
-                    values.add(value)
-                _partial_add(cell, spec.func, value)
-        if not groups and not group_exprs:
-            yield (), _new_cells(aggs)
-        yield from groups.items()
-    finally:
-        if mem is not None:
-            mem.finish()
+    groups: Dict[tuple, List[List[object]]] = {}
+    seen: Dict[int, set] = {}       # id(cell) -> values folded into it
+    for row in op.child.execute():
+        key = tuple(g.eval(row) for g in group_exprs)
+        cells = groups.get(key)
+        if cells is None:
+            cells = groups[key] = _new_cells(aggs)
+            if mem is not None:
+                mem.grow(entry_bytes)
+        for spec, cell in zip(aggs, cells):
+            value = _STAR if spec.arg is None else spec.arg.eval(row)
+            if any_distinct and spec.distinct:
+                values = seen.setdefault(id(cell), set())
+                if value in values:
+                    continue
+                values.add(value)
+            _partial_add(cell, spec.func, value)
+    if not groups and not group_exprs:
+        yield (), _new_cells(aggs)
+    yield from groups.items()
 
 
-class PHashAggregate(PhysicalOp):
+class _GroupAggregate(PhysicalOp):
+    """What :class:`PHashAggregate` and :class:`PPartialAgg` share: one
+    fold into cells — the lane fold (``batch.partial_states_from_batches``)
+    over a batched child the activation pass compiled it for
+    (``_lane_fns``), else the row fold — each reading its cells out in its
+    own way.  Groups stay charged to memory until the parent pulls past
+    the last of them."""
+
+    _lane_fns = None
+
     def __init__(self, child: PhysicalOp, group_exprs: List[BoundExpr],
                  aggs: List[AggSpec], schema: Schema,
                  estimated_rows: float = 0.0, step_text: Optional[str] = None):
@@ -628,18 +642,49 @@ class PHashAggregate(PhysicalOp):
         return (self.child,)
 
     def execute(self) -> Iterator[tuple]:
-        return self._count(self._aggregate())
+        if self.batch_mode:
+            return self._bridge_rows()
+        return self._count(self._held(self._aggregate()))
+
+    def execute_batches(self):
+        from repro.exec.batch import batches_from_rows
+
+        return self._held(batches_from_rows(self._aggregate(),
+                                            len(self.schema)))
+
+    def _held(self, stream):
+        # A batch of output rows is built before the parent sees it, so
+        # the fold has ended by then; the memory is released only once
+        # the parent pulls past the end, as the row body would release it.
+        mem, _ = _op_memory(self)
+        try:
+            yield from stream
+        finally:
+            if mem is not None:
+                mem.finish()
 
     def _aggregate(self) -> Iterator[tuple]:
-        aggs = self.aggs
-        for key, cells in _fold_rows(self):
-            yield key + tuple(_finalize_state(cell, spec.func)
-                              for cell, spec in zip(cells, aggs))
+        if self.child.batch_mode and self._lane_fns is not None:
+            from repro.exec.batch import partial_states_from_batches
+
+            folded = partial_states_from_batches(self)
+        else:
+            folded = _fold_rows(self)
+        for key, cells in folded:
+            yield key + self._read(cells)
 
     def describe(self) -> str:
-        return ("HashAggregate group=["
+        return (f"{self._label} group=["
                 + ", ".join(g.text() for g in self.group_exprs) + "] aggs=["
                 + ", ".join(a.text() for a in self.aggs) + "]")
+
+
+class PHashAggregate(_GroupAggregate):
+    _label = "HashAggregate"
+
+    def _read(self, cells: List[List[object]]) -> tuple:
+        return tuple(_finalize_state(cell, spec.func)
+                     for cell, spec in zip(cells, self.aggs))
 
 
 class PSort(PhysicalOp):
@@ -681,8 +726,8 @@ class PSort(PhysicalOp):
     def execute_batches(self):
         """Buffer child batches, sort once with stable lexsort passes.
 
-        Memory is charged per buffered batch (``entry_bytes * n``) — the
-        same total as the row path's per-row charge, at coarser spill grain.
+        Memory is charged per buffered batch with ``grow_entries`` — the
+        row body's per-row charge, spill for spill.
         """
         from repro.exec.batch import sorted_batches
 
@@ -692,7 +737,7 @@ class PSort(PhysicalOp):
             for batch in self.child.batches():
                 collected.append(batch)
                 if mem is not None:
-                    mem.grow(entry_bytes * batch.n)
+                    mem.grow_entries(entry_bytes, batch.n)
             yield from sorted_batches(self, collected)
         finally:
             if mem is not None:
@@ -896,59 +941,23 @@ class PFragment(PhysicalOp):
         return f"Fragment dn{self.dn_index}"
 
 
-class PPartialAgg(PhysicalOp):
+class PPartialAgg(_GroupAggregate):
     """DN-side half of two-phase aggregation.
 
     Emits one row per local group: the group key followed by one partial
-    state tuple ``(count, total, minimum, maximum)`` per aggregate.  The
-    coordinator's :class:`PFinalAgg` merges states across data nodes, so
-    only group-grain rows cross the gather exchange.  Carries no
-    ``step_text`` — per-DN partials are a physical artifact, not a logical
-    step the plan store should learn.
+    state tuple ``(count, total, minimum, maximum)`` per aggregate — a
+    global aggregate one (empty) state row per node, so the final
+    aggregate sees every node even over zero rows.  The coordinator's
+    :class:`PFinalAgg` merges states across data nodes, so only
+    group-grain rows cross the gather exchange.  Carries no ``step_text``
+    — per-DN partials are a physical artifact, not a logical step the
+    plan store should learn.
     """
 
-    def __init__(self, child: PhysicalOp, group_exprs: List[BoundExpr],
-                 aggs: List[AggSpec], schema: Schema,
-                 estimated_rows: float = 0.0):
-        super().__init__(schema, estimated_rows)
-        self.child = child
-        self.group_exprs = group_exprs
-        self.aggs = aggs
+    _label = "PartialAggregate"
 
-    def children(self) -> Sequence[PhysicalOp]:
-        return (self.child,)
-
-    def execute(self) -> Iterator[tuple]:
-        if self.batch_mode:
-            return self._bridge_rows()
-        return self._count(self._aggregate())
-
-    def execute_batches(self):
-        """Ship partial states as object batches across the exchange.
-
-        Batch input folds over column lanes (``partial_states_from_batches``,
-        the row fold's exact arithmetic); a shape the lane fold does not
-        cover runs the row fold over bridged rows.
-        """
-        from repro.exec.batch import (DEFAULT_BATCH_SIZE, batches_from_rows,
-                                      partial_states_from_batches)
-
-        states = partial_states_from_batches(self)
-        if states is None:
-            states = self._aggregate()
-        yield from batches_from_rows(states, len(self.schema),
-                                     DEFAULT_BATCH_SIZE)
-
-    def _aggregate(self) -> Iterator[tuple]:
-        # A global aggregate ships one (empty) state row per node, so the
-        # final aggregate sees every node even over zero rows.
-        for key, cells in _fold_rows(self):
-            yield key + tuple(tuple(cell) for cell in cells)
-
-    def describe(self) -> str:
-        return ("PartialAggregate group=["
-                + ", ".join(g.text() for g in self.group_exprs) + "] aggs=["
-                + ", ".join(a.text() for a in self.aggs) + "]")
+    def _read(self, cells: List[List[object]]) -> tuple:
+        return tuple(tuple(cell) for cell in cells)
 
 
 class PFinalAgg(PhysicalOp):

@@ -37,6 +37,23 @@ _OPS: Dict[str, Callable[[np.ndarray, object], np.ndarray]] = {
     ">=": lambda a, v: a >= v,
 }
 
+def beyond_float(data: np.ndarray) -> bool:
+    """Whether an integer lane holds a value float64 would round."""
+    return data.dtype.kind in "iu" and bool(
+        ((data > 2 ** 53) | (data < -2 ** 53)).any())
+
+
+def comparable(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as numpy compares them the way Python does.  numpy
+    compares an integer lane with a float lane as floats, rounding integers
+    past 2**53; Python compares them exactly — so such a pair compares as
+    Python objects."""
+    kinds = {a.dtype.kind, b.dtype.kind}
+    if "f" in kinds and kinds & {"i", "u"} and (beyond_float(a)
+                                                or beyond_float(b)):
+        return a.astype(object), b.astype(object)
+    return a, b
+
 
 def selection_mask(chunk: Dict[str, ColumnVector],
                    predicates: Sequence[PredicateSpec]) -> np.ndarray:
@@ -49,7 +66,10 @@ def selection_mask(chunk: Dict[str, ColumnVector],
         if op not in _OPS:
             raise ExecutionError(f"unsupported vector op {op!r}")
         vec = chunk[column]
-        mask &= vec.validity & _OPS[op](vec.data, literal)
+        data = vec.data
+        if data.dtype != object and isinstance(literal, (int, float)):
+            data = comparable(data, np.asarray(literal))[0]
+        mask &= vec.validity & _OPS[op](data, literal)
     return mask
 
 

@@ -545,9 +545,7 @@ class SqlEngine:
                 logical = self._binder().bind_select(stmt)
                 physical = self._planner(None).plan(logical)
                 columns = [c.name for c in logical.schema]
-                # Eligible subtrees (column-oriented scans under
-                # compilable expressions, no LIMIT above) stream numpy
-                # column batches; everything else keeps its row bodies.
+                # Batch or row body per operator: see enable_batches.
                 enable_batches(physical)
             profiler.attach(physical)
             if self._wlm_ctx is not None:

@@ -5,7 +5,9 @@ partial/final aggregation) hold state proportional to their input; this
 module is how that state is charged against the query's resource-group
 budget.  Each operator obtains an :class:`OperatorMemory` tracker from its
 query's :class:`~repro.wlm.governor.WlmQueryContext` and calls
-:meth:`OperatorMemory.grow` per hash-table entry / build row / sorted row.
+:meth:`OperatorMemory.grow` per hash-table entry / build row / sorted row
+(:meth:`OperatorMemory.grow_entries` for a batch of them, spill for spill
+the same).
 When the *query-wide* reservation exceeds the group budget, the growing
 operator spills part of its partition: the bytes leave memory, the operator
 is charged simulated storage I/O time (write plus the eventual read-back),
@@ -85,6 +87,26 @@ class OperatorMemory:
             self.held_bytes -= freed
             self.budget.shrink(freed)
             self.ctx.note_spill(self.op, freed)
+
+    def grow_entries(self, nbytes: int, count: int) -> None:
+        """Exactly ``count`` successive ``grow(nbytes)`` calls — the same
+        spills, in the same order — for a batch of entries.  The entries
+        that fit under the cap are reserved at once; only an entry that
+        would overflow it goes through ``grow``."""
+        nbytes = int(nbytes)
+        if nbytes <= 0:
+            return
+        budget = self.budget
+        while count > 0:
+            fit = min(count, max(0, budget.cap_bytes - budget.reserved_bytes)
+                      // nbytes)
+            if fit:
+                self.held_bytes += fit * nbytes
+                budget.grow(fit * nbytes)
+                count -= fit
+            if count:
+                self.grow(nbytes)
+                count -= 1
 
     def finish(self) -> None:
         """Release this operator's residency back to the query budget."""

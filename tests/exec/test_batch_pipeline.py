@@ -260,8 +260,12 @@ class TestActivation:
             engine, "select id from t where v > 4 order by v limit 3")
         from repro.exec import operators as ops
         for op in walk_physical(physical):
-            if isinstance(op, (ops.PScan, ops.PSort)):
+            # the sort drains its input before the LIMIT pulls a row: it
+            # stays a row body, and the scan below it batches
+            if isinstance(op, ops.PSort):
                 assert not op.batch_mode
+            if isinstance(op, ops.PScan):
+                assert op.batch_mode
 
     def test_scan_batches_complex_predicates(self, engine):
         physical, _ = _activated_plan(
@@ -282,11 +286,11 @@ class TestLimitOverColumnScan:
     """Under a ``LIMIT`` the scan's row body is the column scan bridged to
     rows and counted per row — the only scan a column shard has."""
 
-    def _scans(self, physical):
+    def _scans(self, physical, batched=False):
         scans = [op for op in walk_physical(physical)
                  if isinstance(op, PScan)]
         assert scans and all(op.vector_preds is not None
-                             and not op.batch_mode for op in scans)
+                             and op.batch_mode == batched for op in scans)
         return scans
 
     def test_unsorted_limit_is_count_exact(self, engine, row_rows):
@@ -307,5 +311,7 @@ class TestLimitOverColumnScan:
         assert rows == row_rows(sql) == engine.execute(sql).rows
         assert rows == sorted(MATCHING, key=lambda r: (-r[2], r[0]))[:3]
         assert {type(v) for row in rows for v in row} <= {int, str, type(None)}
-        assert (sum(op.actual_rows for op in self._scans(physical))
+        # below the sort, which drains it, the scan batches
+        assert (sum(op.actual_rows
+                    for op in self._scans(physical, batched=True))
                 == len(MATCHING))
