@@ -65,16 +65,39 @@ def build_engine():
 
 
 def qerrors(engine, sql):
-    """Max per-step q-error of one execution."""
-    result = engine.execute(sql)
+    """Max per-step q-error of one execution.
+
+    Steps are the logical steps the plan store learns, measured as the
+    capture producer measures them: the per-DN clones of one step are
+    summed into one estimate and one actual.  A clone on its own compares
+    a uniform share of the estimate with one shard's rows, and this data
+    puts every gold sale (an even ``sale_id``) on one of the two shards;
+    physical operators (exchanges, partial aggregates) have no step."""
+    executed = []
+    capture = engine.feedback.capture
+
+    def recording(root):
+        executed.append(root)
+        return capture(root)
+
+    engine.feedback.capture = recording
+    try:
+        engine.execute(sql)
+    finally:
+        del engine.feedback.capture
+    steps = {}
+    for op in walk_physical(executed[0]):
+        if op.step_text is None:
+            continue
+        key = id(op) if op.capture_group is None else (op.capture_group,
+                                                       op.step_text)
+        sums = steps.setdefault(key, [0.0, 0.0])
+        sums[0] += op.estimated_rows
+        sums[1] += op.actual_rows
     worst = 1.0
-    # Re-walk the executed plan: compare estimates with actuals.
-    for line in result.plan_text.splitlines():
-        if "est=" in line and "actual=" in line:
-            est = float(line.split("est=")[1].split(",")[0])
-            actual = float(line.split("actual=")[1].split(")")[0])
-            if actual > 0 and est > 0:
-                worst = max(worst, est / actual, actual / est)
+    for est, actual in steps.values():
+        if actual > 0 and est > 0:
+            worst = max(worst, est / actual, actual / est)
     return worst
 
 

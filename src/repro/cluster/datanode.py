@@ -252,8 +252,12 @@ class DataNode:
 
     def scan(self, table: str, snapshot: Snapshot,
              xid: int = INVALID_XID) -> Iterator[Tuple[object, Dict[str, object]]]:
+        """Every visible ``(key, values)`` of ``table``, in heap order.
+
+        ``values`` is the stored row itself (:meth:`MvccHeap.visible`):
+        copy it before changing it."""
         self._n_scan += 1
-        for item in self.heap(table).scan(snapshot, self.ltm.clog, xid):
+        for item in self.heap(table).visible(snapshot, self.ltm.clog, xid):
             self._n_rows += 1
             yield item
 

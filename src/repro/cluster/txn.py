@@ -567,6 +567,8 @@ class LocalTransaction(_BaseTransaction):
         dn.delete(table, key, self.xid, self.snapshot)
 
     def scan(self, table: str) -> Iterator[Tuple[object, Dict[str, object]]]:
+        """Every visible ``(key, values)`` of ``table``; ``values`` is the
+        stored row (:meth:`DataNode.scan`), so copy it before changing it."""
         self._require_running()
         schema = self._schema(table)
         if (schema.distribution is not Distribution.REPLICATION
@@ -822,6 +824,9 @@ class GlobalTransaction(_BaseTransaction):
                            else None)
 
     def scan(self, table: str) -> Iterator[Tuple[object, Dict[str, object]]]:
+        """Every visible ``(key, values)`` of ``table`` on every node;
+        ``values`` is the stored row (:meth:`DataNode.scan`), so copy it
+        before changing it."""
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
@@ -857,23 +862,21 @@ class GlobalTransaction(_BaseTransaction):
                     if keep(values):
                         yield key, values
 
-    def scan_shard(self, table: str,
-                   dn_index: int) -> Iterator[Tuple[object, Dict[str, object]]]:
+    def scan_shard(self, table: str, dn_index: int) -> Iterator[tuple]:
         """Scan one node's slice of ``table`` — a hash shard, or the local
-        replica of a replicated table.  This is the plan-fragment scan path:
-        each fragment reads only the node it runs on."""
+        replica of a replicated table — as rows in table-column order.
+        This is the plan-fragment scan path: each fragment reads only the
+        node it runs on."""
         self._require_running()
         dn, lxid, view = self._attach(dn_index)
         self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_scan += 1
         self._last_wait_event = WAIT_DN_SCAN
+        items = dn.scan(table, view, lxid)
         keep = self._scan_filter(table, dn.index)
-        if keep is None:
-            yield from dn.scan(table, view, lxid)
-        else:
-            for key, values in dn.scan(table, view, lxid):
-                if keep(values):
-                    yield key, values
+        if keep is not None:
+            items = ((key, values) for key, values in items if keep(values))
+        return self._schema(table).rows_of(items)
 
     def shard_column_store(self, table: str, dn_index: int):
         """One node's slice of ``table`` as a column-store MVCC snapshot,

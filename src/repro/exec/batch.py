@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import reduce
-from itertools import count, islice
+from itertools import count, islice, repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -115,9 +115,15 @@ def batches_from_rows(rows: Iterable[tuple], width: int,
         buf = list(islice(rows, batch_size))
         if not buf:
             return
-        yield Batch([_lane(column, data_type)
-                     for column, data_type in zip(zip(*buf), types)],
-                    len(buf))
+        yield batch_of_rows(buf, types)
+
+
+def batch_of_rows(rows: List[tuple],
+                  types: Sequence[Optional[DataType]]) -> Batch:
+    """One batch of ``rows`` (at least one), a lane per column typed as
+    :func:`batches_from_rows` types them."""
+    return Batch([_lane(column, data_type)
+                  for column, data_type in zip(zip(*rows), types)], len(rows))
 
 
 def _lane(values: tuple, data_type: Optional[DataType]) -> ColumnVector:
@@ -130,12 +136,16 @@ def _lane(values: tuple, data_type: Optional[DataType]) -> ColumnVector:
             return ColumnVector(
                 np.array([0 if v is None else v for v in values],
                          data_type.numpy_dtype),
-                np.array([v is not None for v in values], dtype=bool))
+                _not_none(values, n))
         except (OverflowError, TypeError, ValueError):
             pass
     return ColumnVector(np.fromiter(values, dtype=object, count=n),
-                        np.fromiter((v is not None for v in values),
-                                    dtype=bool, count=n))
+                        _not_none(values, n))
+
+
+def _not_none(values: tuple, n: int) -> np.ndarray:
+    return np.fromiter(map(operator.is_not, values, repeat(None)),
+                       dtype=bool, count=n)
 
 
 def concat_batches(batches: List[Batch], width: int) -> Batch:

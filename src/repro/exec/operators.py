@@ -11,6 +11,7 @@ logical operator (join instead of hash join ...) is needed" (Sec. II-C).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutionError
@@ -240,15 +241,14 @@ class PScan(PhysicalOp):
         activation pass), or — on a row source, where it has no batch
         form — by the row interpreter before the rows become lanes.
         """
-        from repro.exec.batch import Batch, batches_from_rows, truth_mask
+        from repro.exec.batch import Batch, truth_mask
         from repro.exec.vectorized import scan_filter_vectors
 
         names = [c.name for c in self.schema]
         pred = self._batch_pred
         if self.vector_store is None:
-            batches = batches_from_rows(
-                self._filtered() if pred is None else self._drain(),
-                len(names), types=[c.data_type for c in self.schema])
+            batches = self._row_batches(
+                self.predicate if pred is None else None)
         else:
             batches = (Batch([chunk[name] for name in names],
                              len(chunk[names[0]]))
@@ -262,6 +262,25 @@ class PScan(PhysicalOp):
                 if not mask.all():
                     batch = batch.select(mask)
             yield batch
+
+    def _row_batches(self, predicate: Optional[BoundExpr]):
+        """The row source as typed lanes: ``DEFAULT_BATCH_SIZE`` source
+        rows at a time, each chunk counted whole into ``scanned_rows`` (a
+        batch consumer drains the source, so the total is exact), minus
+        the rows ``predicate`` (the row interpreter) rejects."""
+        from repro.exec import batch as batch_mod
+
+        types = [c.data_type for c in self.schema]
+        rows = iter(self.source())
+        while True:
+            chunk = list(islice(rows, batch_mod.DEFAULT_BATCH_SIZE))
+            if not chunk:
+                return
+            self.scanned_rows += len(chunk)
+            if predicate is not None:
+                chunk = list(filter(predicate.eval, chunk))
+            if chunk:
+                yield batch_mod.batch_of_rows(chunk, types)
 
     def sim_self_time_us(self, rows_in: int, rows_out: int,
                          batches: int) -> Optional[float]:

@@ -10,7 +10,7 @@ opportunistically" (Sec. II-C).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol, Tuple
 
 from repro.optimizer.expr import (
     BoundBinary,
@@ -71,19 +71,21 @@ class CardinalityEstimator:
                  feedback: Optional[CardinalityFeedback] = None):
         self.stats = stats
         self.feedback = feedback
-        #: Estimates memoized per node id during one optimization pass.
-        self._memo: Dict[int, float] = {}
+        #: Estimates memoized during one optimization pass, as ``id(node)
+        #: -> (node, estimate)``: holding the node keeps its id from being
+        #: handed to a new node mid-pass, and a hit must be the node itself.
+        self._memo: Dict[int, Tuple[LogicalPlan, float]] = {}
         #: Count of estimates answered from the plan store (introspection).
         self.feedback_hits = 0
 
     def estimate(self, plan: LogicalPlan) -> float:
-        key = id(plan)
-        if key in self._memo:
-            return self._memo[key]
+        hit = self._memo.get(id(plan))
+        if hit is not None and hit[0] is plan:
+            return hit[1]
         observed = self._from_feedback(plan)
         value = observed if observed is not None else self._estimate_fresh(plan)
         value = max(0.0, value)
-        self._memo[key] = value
+        self._memo[id(plan)] = (plan, value)
         return value
 
     # -- internals ---------------------------------------------------------

@@ -200,6 +200,7 @@ class SqlEngine:
         finally:
             self._wlm_ticket = None
             self._wlm_ctx = None
+            ctx.close()
         elapsed = (result.profile.elapsed_time_us
                    if result.profile is not None else ctx.progress_us)
         self.wlm.release(ticket, ticket.admitted_us + elapsed)
@@ -340,7 +341,6 @@ class SqlEngine:
         the located row, so a table distributed on a non-key column works.
         """
         schema = self.cluster.catalog.schema(stmt.table)
-        order = [c.name for c in schema.columns]
         sites = access.lookup_sites(predicate, schema,
                                     self.cluster.catalog.shard_map)
 
@@ -353,8 +353,8 @@ class SqlEngine:
                                                     dn_index)]
             count = 0
             moved = []
-            for key, values in located:
-                row_tuple = tuple(values.get(name) for name in order)
+            for (key, values), row_tuple in zip(located,
+                                                schema.rows_of(located)):
                 if predicate is not None and not predicate.eval(row_tuple):
                     continue
                 row = apply(txn, key, values, row_tuple)
@@ -444,19 +444,16 @@ class SqlEngine:
         def scan_source(table: str, scan: LogicalScan,
                         dn_index: Optional[int] = None) -> ScanBinding:
             schema = self.cluster.catalog.schema(table)
-            order = [c.name for c in schema.columns]
 
             def lookup(sites: access.KeySites) -> Iterable[tuple]:
                 # Node by node, as a scan visits them.
                 for site, keys in sites:
-                    for _, values in current_txn().read_many(
-                            schema.name, keys, site):
-                        yield tuple(values.get(name) for name in order)
+                    yield from schema.rows_of(current_txn().read_many(
+                        schema.name, keys, site))
 
             if dn_index is None:
                 def rows() -> Iterable[tuple]:
-                    for _, values in current_txn().scan(schema.name):
-                        yield tuple(values.get(name) for name in order)
+                    return schema.rows_of(current_txn().scan(schema.name))
 
                 return ScanBinding(rows, lookup=lookup)
 
@@ -464,8 +461,7 @@ class SqlEngine:
             # oriented tables additionally expose a column-store snapshot so
             # the scan can run the vectorized kernels.
             def rows() -> Iterable[tuple]:
-                for _, values in current_txn().scan_shard(schema.name, dn_index):
-                    yield tuple(values.get(name) for name in order)
+                return current_txn().scan_shard(schema.name, dn_index)
 
             column_store = None
             if schema.orientation is Orientation.COLUMN:
@@ -535,7 +531,7 @@ class SqlEngine:
             root_span=query_span,
             node=cn_node,
         )
-        txn = None
+        txn = physical = None
         try:
             if cached is not None:
                 physical = cached.physical
@@ -569,6 +565,8 @@ class SqlEngine:
                 tracer.end_span(query_span)
             raise
         finally:
+            if physical is not None:
+                _detach(physical)
             if query_span is not None:
                 tracer.deactivate(query_span)
         profile = profiler.profile()
@@ -656,6 +654,17 @@ class SqlEngine:
             capture=executed.capture,
             profile=profile,
         )
+
+
+def _detach(physical: PhysicalOp) -> None:
+    """Unhook the statement's profiler and WLM context from the plan.
+
+    Both refer back to the operators (profiler entries, per-operator
+    memory trackers), so a plan still holding them is a reference cycle
+    that outlives the statement until the cycle collector finds it."""
+    for op in walk_physical(physical):
+        op.profiler = None
+        op.wlm_ctx = None
 
 
 def _single_site(physical: PhysicalOp) -> bool:

@@ -133,13 +133,52 @@ class MvccHeap:
         version = self._visible_version(key, snapshot, clog, own_xid)
         return dict(version.values) if version is not None else None
 
+    def visible(self, snapshot: Snapshot, clog: StatusLog,
+                own_xid: int = INVALID_XID) -> Iterator[Tuple[object, Dict[str, object]]]:
+        """Yield every visible (key, values) pair, in key insertion order.
+
+        ``values`` is the stored version's dict itself, not a copy: read
+        it, and copy it before changing it.  No code changes a stored dict
+        in place (a write appends a new version), so keeping one is safe.
+
+        Each xid's visibility is decided once per walk and remembered.  It
+        is a function of the snapshot, which is frozen (a
+        ``MergedSnapshot``'s forced sets included), and of the xid's clog
+        status, which only ever moves from in-doubt to COMMITTED or
+        ABORTED, both terminal.  Walks are drained inside one statement,
+        where no transaction resolves; and inserting a new key mid-walk
+        raises (the chain dict changes size).
+        """
+        seen: Dict[int, bool] = {}
+        xid_visible = snapshot.xid_visible
+        for key, chain in self._chains.items():
+            # Newest-first, as _pick_visible: at most one version is visible.
+            i = len(chain)
+            while i:
+                i -= 1
+                version = chain[i]
+                xmin = version.xmin
+                ok = seen.get(xmin)
+                if ok is None:
+                    ok = seen[xmin] = xid_visible(xmin, clog, own_xid)
+                if not ok:
+                    continue
+                xmax = version.xmax
+                if xmax != INVALID_XID:
+                    gone = seen.get(xmax)
+                    if gone is None:
+                        gone = seen[xmax] = xid_visible(xmax, clog, own_xid)
+                    if gone:
+                        continue
+                yield key, version.values
+                break
+
     def scan(self, snapshot: Snapshot, clog: StatusLog,
              own_xid: int = INVALID_XID) -> Iterator[Tuple[object, Dict[str, object]]]:
-        """Yield every visible (key, values) pair, in key insertion order."""
-        for key, chain in self._chains.items():
-            version = self._pick_visible(chain, snapshot, clog, own_xid)
-            if version is not None:
-                yield key, dict(version.values)
+        """:meth:`visible` with each values dict copied, for callers that
+        keep and change the rows they read."""
+        for key, values in self.visible(snapshot, clog, own_xid):
+            yield key, dict(values)
 
     def version_chain(self, key: object) -> List[TupleVersion]:
         """Raw version chain for ``key`` (introspection / tests)."""

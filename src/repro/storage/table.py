@@ -11,7 +11,9 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.common.errors import CatalogError, StorageError
 from repro.storage.types import DataType, coerce
@@ -114,6 +116,17 @@ class TableSchema:
 
     def key_of(self, row: Dict[str, object]) -> object:
         return row[self.primary_key]
+
+    def rows_of(self, items: Iterable[Tuple[object, Dict[str, object]]]
+                ) -> Iterator[tuple]:
+        """The stored ``values`` of ``(key, values)`` items as tuples in
+        table-column order, built at C speed (every stored row holds every
+        column: :meth:`coerce_row` wrote it)."""
+        rows = map(itemgetter(1), items)
+        names = self.column_names
+        if len(names) == 1:
+            return zip(map(itemgetter(names[0]), rows))
+        return map(itemgetter(*names), rows)
 
     def dist_value_of_key(self, key: object) -> object:
         """The distribution value a point operation's key routes by."""

@@ -516,6 +516,11 @@ class WlmQueryContext:
             self._memory[id(op)] = tracker
         return tracker
 
+    def close(self) -> None:
+        """Drop the operators' trackers once the statement is over: each
+        refers back to this context, a cycle left for the collector."""
+        self._memory.clear()
+
     def note_spill(self, op: object, nbytes: int) -> None:
         """Callback from :class:`OperatorMemory`: charge op-local I/O time
         on the node whose partition overflowed."""

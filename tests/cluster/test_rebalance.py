@@ -245,6 +245,30 @@ class TestDoubleWriteWindow:
         assert len(state) == len({k for k, _ in state})
         coordinator.truncate(move)
 
+    def test_fragment_scans_never_see_double(self):
+        cluster, coordinator, move, slot, key = self._open_window()
+        txn = cluster.session().begin(multi_shard=True)
+        txn.insert("t", {"k": key, "v": 4242})
+        txn.commit()
+        for dn in cluster.dns:             # double-written: on both nodes
+            assert dn.read("t", key, dn.local_snapshot()) is not None
+        expected = sorted([(key_of(i), i * 7) for i in range(32)]
+                          + [(key, 4242)])
+
+        def fragment_rows():
+            # each node's slice as a plan fragment reads it: (k, v) tuples
+            reader = cluster.session().begin(multi_shard=True)
+            rows = [row for dn in cluster.dn_indices()
+                    for row in reader.scan_shard("t", dn)]
+            reader.commit()
+            return sorted(rows)
+
+        assert fragment_rows() == expected   # the target's copy is hidden
+        coordinator.flip(move)
+        assert fragment_rows() == expected   # now the source's copy is
+        coordinator.truncate(move)
+        assert fragment_rows() == expected
+
 
 class TestPlanCacheStaleness:
     def test_flip_invalidates_cached_fragment_plan(self):

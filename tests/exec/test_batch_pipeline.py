@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.exec.batch as batch_mod
 import repro.sql.engine as engine_mod
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import (
@@ -315,3 +316,62 @@ class TestLimitOverColumnScan:
         assert (sum(op.actual_rows
                     for op in self._scans(physical, batched=True))
                 == len(MATCHING))
+
+
+# -- a row table's scan, under a LIMIT and in chunks -----------------------
+
+@pytest.fixture(scope="module")
+def row_engine():
+    """``t``'s rows in a row-oriented table on two data nodes."""
+    cluster = MppCluster(num_dns=2)
+    engine = SqlEngine(cluster, plan_cache_size=0)
+    engine.execute("create table t (id int primary key, g text, v int, w int)")
+    engine.execute("insert into t values " + ", ".join(
+        "(" + ", ".join("null" if x is None else repr(x) for x in row) + ")"
+        for row in T_ROWS))
+    engine.analyze()
+    return engine
+
+
+class TestRowScanCounts:
+    """``scanned_rows`` (tuples pulled off the heap walk) and the data
+    nodes' ``exec.rows`` count exactly what the plan pulled: per row under
+    a ``LIMIT``, per chunk in batches; the numbers are the row-at-a-time
+    pipeline's."""
+
+    @staticmethod
+    def _run(engine, sql):
+        metrics = engine.cluster.obs.metrics
+        before = metrics.value("exec.rows") or 0.0
+        physical, rows = _activated_plan(engine, sql)
+        scans = [op for op in walk_physical(physical) if isinstance(op, PScan)]
+        assert scans and all(op.vector_store is None for op in scans)
+        return (rows, scans, sum(op.scanned_rows for op in scans),
+                metrics.value("exec.rows") - before)
+
+    def test_unsorted_limit_pulls_row_by_row(self, row_engine):
+        rows, scans, scanned, dn_rows = self._run(
+            row_engine, "select id, g, v, w from t where v > 4 limit 9")
+        assert len(rows) == 9 and set(rows) <= set(MATCHING)
+        assert not any(op.batch_mode for op in scans)
+        assert sum(op.actual_rows for op in scans) == 9
+        assert (scanned, dn_rows) == (13, 13)
+
+    def test_sorted_limit_drains_the_scan_in_chunks(self, row_engine):
+        rows, scans, scanned, dn_rows = self._run(
+            row_engine, "select id, g, v, w from t where v > 4 "
+                        "order by v desc, id limit 3")
+        assert rows == sorted(MATCHING, key=lambda r: (-r[2], r[0]))[:3]
+        assert all(op.batch_mode for op in scans)
+        assert (scanned, dn_rows) == (len(T_ROWS), len(T_ROWS))
+
+    def test_interpreted_predicate_filters_each_chunk(self, row_engine,
+                                                      monkeypatch):
+        # LIKE has no batch form: the row interpreter drops rows from each
+        # 7-row chunk before the chunk becomes lanes
+        monkeypatch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", 7)
+        rows, scans, scanned, dn_rows = self._run(
+            row_engine, "select id, g from t where g like 'a%' order by id")
+        assert rows == [(r[0], r[1]) for r in T_ROWS if r[1] == "a"]
+        assert all(op.batch_mode and op._batch_pred is None for op in scans)
+        assert (scanned, dn_rows) == (len(T_ROWS), len(T_ROWS))

@@ -18,7 +18,6 @@ from repro.exec import operators as ops
 from repro.exec.batch import enable_batches
 from repro.sql.engine import SqlEngine
 from repro.sql.parser import parse
-from test_lane_differential import pin_estimates
 
 BUDGET = 20_000
 ROWS = 3_000
@@ -59,7 +58,6 @@ def _engine(orientation):
 
 def _run(orientation, sql, batched):
     with pytest.MonkeyPatch.context() as patch:
-        pin_estimates(patch)
         engine = _engine(orientation)
         if not batched:
             patch.setattr(engine_mod, "enable_batches", lambda root: None)

@@ -31,7 +31,6 @@ from repro.cluster.mpp import MppCluster
 from repro.exec.batch import enable_batches
 from repro.exec.operators import (PHashAggregate, PHashJoin, PPartialAgg,
                                   walk_physical)
-from repro.optimizer.cardinality import CardinalityEstimator
 from repro.sql.engine import SqlEngine
 from repro.sql.parser import parse
 
@@ -134,25 +133,6 @@ def _same_multiset(got, want) -> bool:
         for g, w in zip(got, want))
 
 
-def pin_estimates(patch) -> None:
-    """Make ``est_rows`` repeatable from one engine to the next.
-
-    The cardinality estimator memoizes by ``id(plan)`` within a planning
-    pass, and a logical node freed mid-pass can pass its id on to a new
-    node, which then reads the old node's estimate.  Which nodes collide
-    depends on the allocator's state, so two engines can plan one
-    statement with different estimates (never different actual rows).
-    Holding every estimated node for the pass keeps the ids unique.
-    """
-    estimate = CardinalityEstimator.estimate
-
-    def pinned(self, plan):
-        self.__dict__.setdefault("_pinned", []).append(plan)
-        return estimate(self, plan)
-
-    patch.setattr(CardinalityEstimator, "estimate", pinned)
-
-
 def check(rows, orientations, num_dns, batch_rows=1024, chunk_rows=4096):
     """``batch_rows`` / ``chunk_rows`` shrink batches and column chunks so
     a few rows cross their boundaries (groups first seen in a later batch,
@@ -162,7 +142,6 @@ def check(rows, orientations, num_dns, batch_rows=1024, chunk_rows=4096):
     # optimizer's estimates move in step.
     sequence = [sql for sql, _ in STATEMENTS for _ in range(2)]
     with pytest.MonkeyPatch.context() as patch:
-        pin_estimates(patch)
         patch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", batch_rows)
         patch.setattr(colstore, "DEFAULT_CHUNK_ROWS", chunk_rows)
         shipped = _engine(rows, orientations, num_dns, reference=False)
