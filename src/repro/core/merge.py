@@ -111,18 +111,22 @@ def _merge(
     # Line 5 (downgradeTX): traverse the LCO in commit order.  A committed
     # entry is re-hidden if its global transaction was still active (or
     # unknown/future) in the global snapshot, or if it wrote data last
-    # written by an already-re-hidden transaction.
+    # written by an already-re-hidden transaction.  Until the first entry
+    # is re-hidden nothing is tainted, so no write set can depend on one.
     if enable_downgrade:
         tainted = WriteSet()
+        hiding = False
         for entry in ltm.lco:
             globally_invisible = (
                 entry.gxid is not None
                 and global_snapshot.sees_as_running(entry.gxid)
             )
-            depends_on_hidden = entry.write_set.intersects(tainted)
+            depends_on_hidden = (hiding
+                                 and entry.write_set.intersects(tainted))
             if globally_invisible or depends_on_hidden:
                 forced_active.add(entry.local_xid)
                 tainted.merge(entry.write_set)
+                hiding = True
 
     # Line 6 (upgradeTX): locally active-but-prepared transactions whose
     # GXID already committed at the GTM must become visible.  The reader

@@ -4,11 +4,13 @@ The row executor in :mod:`repro.exec.operators` is a classic volcano
 pipeline — every operator yields Python tuples.  Here column batches
 (positionally schema-aligned :class:`~repro.storage.colstore.ColumnVector`
 lists) are the unit of exchange instead: scans emit filtered chunks (a row
-table's rows as schema-typed lanes), filters and projections run compiled
-numpy expressions, hash joins build and probe on key lanes, both
-aggregates fold lanes into their cells, sorts run stable ``np.lexsort``
-passes, and partial-aggregate states cross exchanges as object batches.
-Rows materialize only where a row-only operator (or the client) sits above.
+table's rows as schema-typed lanes; a TEXT lane keeps its chunk's
+dictionary codes), filters and projections run compiled numpy
+expressions, hash joins build and probe on key lanes, the aggregates fold
+lanes into per-group arrays in one pass per batch, partial states cross
+exchanges as state lanes that the final aggregate merges the same way,
+and sorts run stable ``np.lexsort`` passes.  Rows materialize only where a
+row-only operator (or the client) sits above.
 
 Three invariants keep batch execution *replay-identical* to the row path:
 
@@ -31,14 +33,13 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.exec.vectorized import beyond_float, comparable, group_bounds
+from repro.exec.vectorized import beyond_float, comparable
 from repro.optimizer.expr import (
     BoundBinary,
     BoundColumn,
@@ -66,30 +67,72 @@ class Batch:
         self.n = n
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch([ColumnVector(c.data[idx], c.validity[idx])
-                      for c in self.columns], int(len(idx)))
+        return Batch([c.take(idx) for c in self.columns], int(len(idx)))
 
     def select(self, mask: np.ndarray) -> "Batch":
-        return Batch([ColumnVector(c.data[mask], c.validity[mask])
-                      for c in self.columns], int(mask.sum()))
+        return Batch([c.take(mask) for c in self.columns], int(mask.sum()))
+
+
+class StateVector:
+    """One aggregate's partial states as lanes, a group per lane: what the
+    row body ships as ``(count, total, minimum, maximum)`` tuples.  The
+    extremes are value lanes whose validity says a value was seen, or
+    ``None`` for an aggregate that keeps none.  A batch holds one per
+    aggregate, so its width is still the schema's."""
+
+    __slots__ = ("count", "total", "low", "high")
+
+    def __init__(self, count: np.ndarray, total: np.ndarray,
+                 low: Optional[ColumnVector], high: Optional[ColumnVector]):
+        self.count = count
+        self.total = total
+        self.low = low
+        self.high = high
+
+    @classmethod
+    def of_tuples(cls, states: np.ndarray) -> "StateVector":
+        """The states of an object lane of state tuples (a row fold's)."""
+        count, total, low, high = zip(*states.tolist())
+        return cls(np.array(count, dtype=np.int64),
+                   np.fromiter(total, dtype=object, count=len(total)),
+                   _lane(low, None), _lane(high, None))
+
+    def take(self, lanes) -> "StateVector":
+        return StateVector(
+            self.count[lanes], self.total[lanes],
+            None if self.low is None else self.low.take(lanes),
+            None if self.high is None else self.high.take(lanes))
+
+    def tuples(self) -> list:
+        n = len(self.count)
+        return list(zip(self.count.tolist(), self.total.tolist(),
+                        repeat(None, n) if self.low is None
+                        else _unboxed(self.low),
+                        repeat(None, n) if self.high is None
+                        else _unboxed(self.high)))
+
+
+def _unboxed(vec) -> list:
+    if isinstance(vec, StateVector):
+        return vec.tuples()
+    values = vec.data.tolist()
+    if not vec.validity.all():
+        values = [v if ok else None
+                  for v, ok in zip(values, vec.validity.tolist())]
+    return values
 
 
 def rows_from_batches(batches: Iterable[Batch]) -> Iterator[tuple]:
     """The batch->row bridge: the only place values unbox.
 
-    NULL lanes materialize as ``None`` and numpy scalars unbox to Python
-    values — the bridge output is byte-identical to what the row path
-    yields.  Columns unbox in bulk (``ndarray.tolist`` converts at C speed
-    and yields the same Python values per element as ``.item()``).
+    NULL lanes materialize as ``None``, numpy scalars unbox to Python
+    values and partial states to their tuples — the bridge output is
+    byte-identical to what the row path yields.  Columns unbox in bulk
+    (``ndarray.tolist`` converts at C speed and yields the same Python
+    values per element as ``.item()``).
     """
     for batch in batches:
-        cols = []
-        for c in batch.columns:
-            values = c.data.tolist()
-            if not c.validity.all():
-                values = [v if ok else None
-                          for v, ok in zip(values, c.validity.tolist())]
-            cols.append(values)
+        cols = [_unboxed(c) for c in batch.columns]
         if len(cols) == 1:
             for v in cols[0]:
                 yield (v,)
@@ -149,19 +192,30 @@ def _not_none(values: tuple, n: int) -> np.ndarray:
 
 
 def concat_batches(batches: List[Batch], width: int) -> Batch:
-    """One batch of ``batches`` back to back.  A column whose lanes differ
-    in dtype (union inputs) concatenates as object, so no value is cast."""
+    """One batch of ``batches`` back to back (see :func:`_concat`)."""
     if len(batches) == 1:
         return batches[0]
-    columns = []
-    for j in range(width):
-        datas = [b.columns[j].data for b in batches]
-        if len({data.dtype for data in datas}) > 1:
-            datas = [data.astype(object) for data in datas]
-        columns.append(ColumnVector(
-            np.concatenate(datas),
-            np.concatenate([b.columns[j].validity for b in batches])))
-    return Batch(columns, sum(b.n for b in batches))
+    return Batch([_concat([b.columns[j] for b in batches])
+                  for j in range(width)], sum(b.n for b in batches))
+
+
+def _concat(vectors: List[ColumnVector]) -> ColumnVector:
+    """Lanes back to back.  Lanes that differ in dtype (union inputs)
+    concatenate as objects, so no value is cast; codes survive only where
+    every part shares one dictionary."""
+    if len(vectors) == 1:
+        return vectors[0]
+    validity = np.concatenate([vec.validity for vec in vectors])
+    dictionary = vectors[0].dictionary
+    if dictionary is not None and all(vec.dictionary is dictionary
+                                      for vec in vectors):
+        return ColumnVector(None, validity,
+                            np.concatenate([vec.codes for vec in vectors]),
+                            dictionary)
+    datas = [vec.data for vec in vectors]
+    if len({data.dtype for data in datas}) > 1:
+        datas = [data.astype(object) for data in datas]
+    return ColumnVector(np.concatenate(datas), validity)
 
 
 # -- compiled batch expressions -------------------------------------------
@@ -326,9 +380,19 @@ def _compile_in_list(expr: BoundInList) -> Optional[BatchFn]:
         return None
     negated = expr.negated
     equal = _compare("=")
+    # constant items: a coded needle is decided once per dictionary entry
+    constants = ([item.value for item in expr.items if item.value is not None]
+                 if all(isinstance(item, BoundConst) for item in expr.items)
+                 else None)
 
     def in_list(batch: Batch) -> ColumnVector:
         needle = needle_fn(batch)
+        if needle.codes is not None and constants is not None:
+            hit = np.zeros(len(needle.dictionary), dtype=bool)
+            for value in constants:
+                hit |= needle.dictionary == value
+            found = hit[needle.codes]
+            return ColumnVector(~found if negated else found, needle.validity)
         found = np.zeros(batch.n, dtype=bool)
         for fn in item_fns:
             item = fn(batch)
@@ -367,13 +431,13 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
         return or_
     if op in _CMP:
         cmp = _compare(op)
+        if op in ("=", "<>"):
+            for const, fn in ((expr.right, left_fn), (expr.left, right_fn)):
+                if isinstance(const, BoundConst) and const.value is not None:
+                    return _by_entry(op, fn, const.value)
 
         def compare(batch: Batch) -> ColumnVector:
-            vec = _lanewise(cmp, left_fn(batch), right_fn(batch), batch.n,
-                            out_dtype=np.bool_)
-            if vec.data.dtype != np.bool_:
-                vec = ColumnVector(vec.data.astype(bool), vec.validity)
-            return vec
+            return _compared(cmp, left_fn(batch), right_fn(batch), batch.n)
 
         return compare
     if op in _ARITH:
@@ -394,7 +458,37 @@ def _compile_binary(expr: BoundBinary) -> Optional[BatchFn]:
     return None
 
 
-# -- partial aggregation --------------------------------------------------
+def _compared(cmp, left: ColumnVector, right: ColumnVector,
+              n: int) -> ColumnVector:
+    vec = _lanewise(cmp, left, right, n, out_dtype=np.bool_)
+    if vec.data.dtype != np.bool_:
+        vec = ColumnVector(vec.data.astype(bool), vec.validity)
+    return vec
+
+
+def _by_entry(op: str, fn: BatchFn, value: object) -> BatchFn:
+    """``fn(batch) op value`` for the symmetric ``=`` / ``<>``: a lane
+    carrying dictionary codes is compared once per dictionary entry and
+    the answers gathered by code, any other lane by lane."""
+    cmp, entry_cmp = _compare(op), _CMP[op]
+
+    def compare(batch: Batch) -> ColumnVector:
+        vec = fn(batch)
+        if vec.codes is None:
+            return _compared(cmp, vec, _const_vector(value, batch.n), batch.n)
+        return ColumnVector(entry_cmp(vec.dictionary, value)[vec.codes],
+                            vec.validity)
+
+    return compare
+
+
+# -- the lane fold --------------------------------------------------------
+#
+# ``PHashAggregate`` and ``PPartialAgg`` fold their child's lanes, and
+# ``PFinalAgg`` merges partial states, in one pass per batch: every lane
+# gets its group's id (groups numbered in first-seen order), then each
+# aggregate scatters the whole batch into per-group arrays with a fixed
+# number of numpy calls.  The arrays hold exactly the row fold's cells.
 
 _LANE_FUNCS = ("count", "sum", "avg", "min", "max")
 
@@ -423,104 +517,481 @@ def _ships_states(op, ops) -> bool:
         and any(_ships_states(child, ops) for child in op.children()))
 
 
-def partial_states_from_batches(agg) -> Iterator[Tuple[tuple, List[list]]]:
-    """The lane fold: ``(group key, cells)`` of ``PHashAggregate`` or
-    ``PPartialAgg`` over its child's batches.
+#: Longest direct-address table (integer keys, pairs of key codes); keys
+#: spread wider take the dict pass.
+_TABLE_LIMIT = 1 << 16
 
-    Fills the row fold's (``operators._fold_rows``) ``[count, total, min,
-    max]`` cells exactly: groups are the distinct tuples of the group lanes
-    (NULL a value of its own per column), created and charged to memory in
-    first-seen order, keyed by their first row's Python values; sums add
-    left to right in row order (the row fold's ``cell[1] += value``);
-    counts skip NULLs; min/max keep the first of equal values.  The
-    release is left to the caller.
-    """
-    from repro.exec.operators import _new_cells, _op_memory
 
+def fold_batches(agg) -> Iterator[Batch]:
+    """The lane fold of ``PHashAggregate`` (final values) or
+    ``PPartialAgg`` (partial states) over its child's batches."""
     group_fns, arg_fns = agg._lane_fns
-    specs = agg.aggs
-    mem, entry_bytes = _op_memory(agg)
-    states: dict = {}
+    fold = _Fold(agg, len(group_fns))
     for batch in agg.child.batches():
-        if not batch.n:
-            continue
-        args = [None if fn is None else fn(batch) for fn in arg_fns]
-        groups = (_groups([fn(batch) for fn in group_fns], batch.n)
-                  if group_fns else [((), np.arange(batch.n))])
-        for key, member in groups:
-            cells = states.get(key)
-            if cells is None:
-                cells = states[key] = _new_cells(specs)
-                if mem is not None:
-                    mem.grow(entry_bytes)
-            _feed(specs, cells, member, args)
-    if not states and not group_fns:
-        states[()] = _new_cells(specs)     # empty state, nothing charged
-    yield from states.items()
+        if batch.n:
+            args = [None if fn is None else fn(batch) for fn in arg_fns]
+            gids = fold.group([fn(batch) for fn in group_fns], batch.n)
+            fold.add(gids, args)
+    yield from fold.batches(agg._final)
 
 
-def _groups(vecs: List[ColumnVector], n: int):
-    """``(key, lanes)`` per distinct key tuple, in first-seen order; the
-    lanes of a group ascend."""
-    _, order, bounds = group_bounds(_pack(vecs, n))
-    firsts = order[bounds[:-1]]
-    keys = list(zip(*[
-        [v if ok else None
-         for v, ok in zip(vec.data[firsts].tolist(),
-                          vec.validity[firsts].tolist())]
-        for vec in vecs]))
-    for g in np.argsort(firsts).tolist():
-        yield keys[g], order[bounds[g]:bounds[g + 1]]
+def merge_batches(final) -> Iterator[Batch]:
+    """``PFinalAgg`` on lanes: the data nodes' partial states merged per
+    group, then finalized.  A row-fold partial's state tuples become
+    lanes first."""
+    n = final.n_group_cols
+    fold = _Fold(final, n)
+    for batch in final.child.batches():
+        if batch.n:
+            gids = fold.group(batch.columns[:n], batch.n)
+            fold.merge(gids, [c if isinstance(c, StateVector)
+                              else StateVector.of_tuples(c.data)
+                              for c in batch.columns[n:]])
+    yield from fold.batches(final=True)
 
 
-def _pack(vecs: List[ColumnVector], n: int) -> np.ndarray:
-    """One code (at most ``n``) per lane for its tuple of values: equal
-    tuples, equal codes; NULL is one more value in each column."""
-    code = None
-    for vec in vecs:
-        data = vec.data[vec.validity]
+class _Fold:
+    """Groups and their cells while folding: each lane's group id, every
+    group's key lanes (gathered from its first lane, so a key is its first
+    row's value) and, per aggregate, the row fold's cells as arrays.  New
+    groups are charged to memory batch by batch, one entry each, in the
+    order the row body creates them; the release is the operator's."""
+
+    def __init__(self, op, width: int):
+        from repro.exec.operators import _op_memory
+
+        self.mem, self.entry_bytes = _op_memory(op)
+        self.ids = _GroupIds(width)
+        self.keys: List[List[ColumnVector]] = [[] for _ in range(width)]
+        self.cells = [_Cells(spec.func) for spec in op.aggs]
+        self.n = 0
+
+    def group(self, vecs: List[ColumnVector], n: int) -> np.ndarray:
+        gids, firsts = self.ids(vecs, n)
+        if len(firsts):
+            if self.mem is not None:
+                self.mem.grow_entries(self.entry_bytes, len(firsts))
+            for part, vec in zip(self.keys, vecs):
+                part.append(vec.take(firsts))
+            self._grow(len(firsts))
+        return gids
+
+    def _grow(self, new: int) -> None:
+        self.n += new
+        for cells in self.cells:
+            cells.grow(new)
+
+    def add(self, gids: np.ndarray, args: List[Optional[ColumnVector]]):
+        """Fold one batch's argument lanes (``None`` for ``COUNT(*)``)."""
+        n = self.n
+        every = None            # lanes per group, for lanes without NULLs
+        for cells, vec in zip(self.cells, args):
+            if vec is not None and not vec.validity.all():
+                g = gids[vec.validity]
+                if len(g):
+                    cells.add(g, vec.data[vec.validity],
+                              np.bincount(g, minlength=n))
+                continue
+            if every is None:
+                every = np.bincount(gids, minlength=n)
+            if vec is None:
+                cells.count += every
+            else:
+                cells.add(gids, vec.data, every)
+
+    def merge(self, gids: np.ndarray, states: List["StateVector"]) -> None:
+        for cells, state in zip(self.cells, states):
+            cells.merge(gids, state, self.n)
+
+    def batches(self, final: bool) -> Iterator[Batch]:
+        """Every group's keys and final values (or partial states), in
+        group order, ``DEFAULT_BATCH_SIZE`` groups per batch."""
+        if not self.n and not self.keys:
+            self._grow(1)   # a global aggregate of no rows: nothing charged
+        n, size = self.n, DEFAULT_BATCH_SIZE
+        if not n:
+            return
+        columns = ([_concat(part) for part in self.keys]
+                   + [cells.final() if final else cells.state()
+                      for cells in self.cells])
+        for start in range(0, n, size):
+            lanes = slice(start, start + size)
+            yield Batch([c.take(lanes) for c in columns],
+                        min(size, n - start))
+
+
+class _GroupIds:
+    """Each lane's group id for a tuple of key lanes, groups numbered in
+    first-seen order: the first column's codes, each further column's
+    paired with the codes of the tuple so far."""
+
+    def __init__(self, width: int):
+        self.coders = [_Coder() for _ in range(width)]
+        self.pairs = [_Pairs() for _ in range(width - 1)]
+        self.started = False
+
+    def __call__(self, vecs: List[ColumnVector], n: int):
+        """``(ids, firsts)``: each lane's group id, and the lanes where the
+        groups this batch created first appear, in id order."""
+        if not vecs:            # a global aggregate: one group
+            firsts = np.zeros(0 if self.started else 1, dtype=np.intp)
+            self.started = True
+            return np.zeros(n, dtype=np.intp), firsts
+        ids, firsts = self.coders[0](vecs[0])
+        for coder, pairs, vec in zip(self.coders[1:], self.pairs, vecs[1:]):
+            ids, firsts = pairs(ids, coder(vec)[0])
+        return ids, firsts
+
+
+def _first_lanes(index: np.ndarray, lanes: np.ndarray,
+                 size: int) -> np.ndarray:
+    """The lanes of ``lanes`` (ascending) that hold the first occurrence of
+    their ``index`` value (each below ``size``), ascending."""
+    at = index[lanes]
+    first = np.full(size, len(index), dtype=np.intp)
+    np.minimum.at(first, at, lanes)
+    return lanes[first[at] == lanes]
+
+
+class _Coder:
+    """Codes for one group-key column: dense ints handed out in first-seen
+    order across batches.  Values equal as Python values share one
+    (``1 = 1.0``, ``-0.0 = 0.0``), NULL is one more value, and a NaN never
+    meets an earlier one: the row fold's dict, decided per lane.
+
+    An integer lane looks its codes up in a direct-address table, a TEXT
+    lane carrying dictionary codes in one per dictionary; a table entry is
+    filled once per new value.  Any other lane (doubles, objects, integers
+    spread too wide) runs the dict pass over its values."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        #: integer lanes: slot 0 is NULL's code, slot 1 + v - low value v's
+        self.low = 0
+        self.table: Optional[np.ndarray] = None
+        #: otherwise: value (``None`` for NULL) -> code
+        self.values: Optional[dict] = None
+        #: id(dictionary) -> (dictionary, its table: slot 0 NULL, 1 + code);
+        #: holding the dictionary keeps its id from being reused
+        self.remaps: dict = {}
+
+    def __call__(self, vec: ColumnVector) -> Tuple[np.ndarray, np.ndarray]:
+        """``(codes, firsts)``: each lane's code, and the lanes where this
+        batch's new codes first appear, in code order."""
+        if vec.codes is not None:
+            return self._text(vec)
+        if vec.data.dtype.kind in "ib" and self.values is None:
+            slots = self._slots(vec)
+            if slots is not None:
+                return self._lookup(self.table, slots)
+        return self._objects(vec)
+
+    def _lookup(self, table: np.ndarray, slots: np.ndarray):
+        """The codes in ``table`` at the lanes' ``slots``; an empty slot gets
+        the next code, in the order the lanes first reach it."""
+        codes = table[slots]
+        new = np.flatnonzero(codes < 0)
+        if not len(new):
+            return codes, new
+        firsts = _first_lanes(slots, new, len(table))
+        table[slots[firsts]] = np.arange(self.n, self.n + len(firsts))
+        self.n += len(firsts)
+        return table[slots], firsts
+
+    def _slots(self, vec: ColumnVector) -> Optional[np.ndarray]:
+        """Each lane's slot in the integer table, grown to cover the batch;
+        ``None`` once the values spread too wide (the column then takes
+        the dict pass for good)."""
+        data, valid = vec.data, vec.validity
+        whole = valid.all()
+        live = data if whole else data[valid]
+        table, low = self.table, self.low
+        if len(live):
+            lo, hi = int(live.min()), int(live.max())
+            if table is None or lo < low or hi > low + len(table) - 2:
+                if table is not None and len(table) > 1:
+                    lo, hi = min(lo, low), max(hi, low + len(table) - 2)
+                if hi - lo + 2 > _TABLE_LIMIT:
+                    self._to_dict()
+                    return None
+                grown = np.full(hi - lo + 2, -1, dtype=np.int64)
+                if table is not None:
+                    grown[0] = table[0]
+                    grown[1 + low - lo:low - lo + len(table)] = table[1:]
+                table, low = self.table, self.low = grown, lo
+        elif table is None:
+            table = self.table = np.full(1, -1, dtype=np.int64)
+        slots = data.astype(np.intp)
+        slots -= low
+        slots += 1
+        if not whole:
+            slots[~valid] = 0
+        return slots
+
+    def _to_dict(self) -> None:
+        """Leave the integer table for the dict, codes kept."""
+        self.values = {}
+        if self.table is not None:
+            slots = np.flatnonzero(self.table >= 0)
+            self.values = dict(zip(
+                [slot - 1 + self.low if slot else None
+                 for slot in slots.tolist()],
+                self.table[slots].tolist()))
+            self.table = None
+
+    def _objects(self, vec: ColumnVector):
+        if self.values is None:
+            self._to_dict()
+        items = _unboxed(vec)
+        codes = np.fromiter(map(self.values.get, items, repeat(-1)),
+                            dtype=np.int64, count=len(items))
+        fresh: List[int] = []
+        for lane in np.flatnonzero(codes < 0).tolist():
+            codes[lane] = self._code(items[lane], lane, fresh)
+        return codes, np.array(fresh, dtype=np.intp)
+
+    def _code(self, value, lane: int, fresh: List[int]) -> int:
+        """``value``'s code; a new one, its lane added to ``fresh``, if it
+        has none yet."""
+        code = self.values.get(value)
+        if code is None:
+            code = self.values[value] = self.n
+            self.n += 1
+            fresh.append(lane)
+        return code
+
+    def _text(self, vec: ColumnVector):
+        if self.values is None:
+            self._to_dict()
+        entries = vec.dictionary
+        known = self.remaps.get(id(entries))
+        if known is None:
+            known = self.remaps[id(entries)] = (
+                entries, np.full(len(entries) + 1, -1, dtype=np.int64))
+        table = known[1]
+        slots = vec.codes.astype(np.intp)
+        slots += 1
+        if not vec.validity.all():
+            slots[~vec.validity] = 0
+        codes = table[slots]
+        new = np.flatnonzero(codes < 0)
+        if not len(new):
+            return codes, new
+        # entries this dictionary has not met yet: each was either coded
+        # off another dictionary already, or is new
+        fresh: List[int] = []
+        firsts = _first_lanes(slots, new, len(table))
+        for lane, slot in zip(firsts.tolist(), slots[firsts].tolist()):
+            table[slot] = self._code(entries[slot - 1] if slot else None,
+                                     lane, fresh)
+        return table[slots], np.array(fresh, dtype=np.intp)
+
+
+class _Pairs:
+    """Codes for pairs of codes, in first-seen order: a 2-D direct-address
+    table while it stays small, then the dict pass over ``a << 32 | b``."""
+
+    def __init__(self) -> None:
+        self.coder = _Coder()
+        self.table: Optional[np.ndarray] = np.full((1, 1), -1, dtype=np.int64)
+
+    def __call__(self, a: np.ndarray, b: np.ndarray):
+        table = self.table
+        if table is not None:
+            rows, cols = table.shape
+            need_rows, need_cols = int(a.max()) + 1, int(b.max()) + 1
+            if need_rows > rows or need_cols > cols:
+                rows = max(rows, 1 << (need_rows - 1).bit_length())
+                cols = max(cols, 1 << (need_cols - 1).bit_length())
+                if rows * cols > _TABLE_LIMIT:
+                    self._to_dict()
+                    table = None
+                else:
+                    grown = np.full((rows, cols), -1, dtype=np.int64)
+                    grown[:table.shape[0], :table.shape[1]] = table
+                    table = self.table = grown
+        if table is not None:
+            return self.coder._lookup(table.reshape(-1),
+                                      a * table.shape[1] + b)
+        keys = a << 32 | b
+        return self.coder._objects(
+            ColumnVector(keys, np.ones(len(keys), dtype=bool)))
+
+    def _to_dict(self) -> None:
+        flat, cols = self.table.reshape(-1), self.table.shape[1]
+        slots = np.flatnonzero(flat >= 0)
+        self.coder.values = dict(zip(
+            (slots // cols << 32 | slots % cols).tolist(),
+            flat[slots].tolist()))
+        self.table = None
+
+
+class _Cells:
+    """One aggregate's cells for every group, as arrays: the row fold's
+    ``[count, total, minimum, maximum]``."""
+
+    __slots__ = ("func", "count", "total", "low", "high")
+
+    def __init__(self, func: str):
+        self.func = func
+        self.count = np.zeros(0, dtype=np.int64)
+        self.total = np.zeros(0)
+        self.low = _Extreme(True) if func == "min" else None
+        self.high = _Extreme(False) if func == "max" else None
+
+    def grow(self, new: int) -> None:
+        self.count = np.concatenate([self.count,
+                                     np.zeros(new, dtype=np.int64)])
+        # 0.0, as the row fold starts a total (an object zero would be 0)
+        self.total = np.concatenate(
+            [self.total, np.full(new, 0.0, dtype=self.total.dtype)])
+        for extreme in (self.low, self.high):
+            if extreme is not None:
+                extreme.grow(new)
+
+    def add(self, g: np.ndarray, values: np.ndarray,
+            counts: np.ndarray) -> None:
+        """Fold valid lanes, in row order, of groups ``g`` (``counts`` per
+        group)."""
+        self.count += counts
+        if self.func in ("sum", "avg"):
+            self.total = _add_at(self.total, g, values)
+        elif self.low is not None:
+            self.low.fold(g, values, counts > 0)
+        elif self.high is not None:
+            self.high.fold(g, values, counts > 0)
+
+    def merge(self, g: np.ndarray, state: "StateVector", n: int) -> None:
+        """Merge partial states lane by lane, as ``_merge_state`` does
+        (another aggregate's total is 0.0 on both sides)."""
+        np.add.at(self.count, g, state.count)
+        if self.func in ("sum", "avg"):
+            self.total = _add_at(self.total, g, state.total)
+        for mine, theirs in ((self.low, state.low), (self.high, state.high)):
+            if mine is not None and theirs is not None:
+                lanes = g[theirs.validity]
+                if len(lanes):
+                    mine.fold(lanes, theirs.data[theirs.validity],
+                              np.bincount(lanes, minlength=n) > 0)
+
+    def final(self) -> ColumnVector:
+        """``_finalize_state`` for every group, as a lane."""
+        count, func = self.count, self.func
+        if func == "count":
+            return ColumnVector(count, np.ones(len(count), dtype=bool))
+        seen = count > 0
+        if func == "sum":
+            return ColumnVector(self.total, seen)
+        if func == "avg":
+            if self.total.dtype == object:
+                data = np.fromiter(
+                    (t / c if c else 0.0
+                     for t, c in zip(self.total.tolist(), count.tolist())),
+                    dtype=object, count=len(count))
+            else:
+                data = np.zeros(len(count))
+                np.divide(self.total, count, out=data, where=seen)
+            return ColumnVector(data, seen)
+        if func in ("min", "max"):
+            return (self.low or self.high).lane()
+        raise ExecutionError(f"unknown aggregate {func!r}")
+
+    def state(self) -> "StateVector":
+        return StateVector(self.count, self.total,
+                           self.low and self.low.lane(),
+                           self.high and self.high.lane())
+
+
+def _add_at(total: np.ndarray, g: np.ndarray, values: np.ndarray):
+    """``total[g] += values`` lane by lane in row order, the row fold's
+    ``cell += value``: ``np.add.at`` is unbuffered and sequential, so a
+    float sum rounds as the row fold's does (an integer lane adds as
+    ``float(int)``); object lanes add as Python objects."""
+    if values.dtype == object and total.dtype != object:
+        total = total.astype(object)
+    np.add.at(total, g, values)
+    return total
+
+
+class _Extreme:
+    """Per-group running minimum (or maximum), as the row fold's sequential
+    ``value < cell`` (``>``) leaves it: the first of equal values stays
+    (``-0.0`` against ``0.0``), and a NaN stays only where it came first,
+    since nothing compares below it.  Lanes of a dtype other than the
+    first's turn the values into objects, compared as the row fold does."""
+
+    __slots__ = ("lowest", "data", "validity")
+
+    def __init__(self, lowest: bool):
+        self.lowest = lowest
+        self.data: Optional[np.ndarray] = None
+        self.validity = np.zeros(0, dtype=bool)
+
+    def grow(self, new: int) -> None:
+        self.validity = np.concatenate([self.validity,
+                                        np.zeros(new, dtype=bool)])
+        if self.data is not None:
+            self.data = np.concatenate([self.data,
+                                        np.zeros(new, dtype=self.data.dtype)])
+
+    def lane(self) -> ColumnVector:
+        data = self.data
+        if data is None:
+            data = np.zeros(len(self.validity), dtype=np.int64)
+        return ColumnVector(data, self.validity)
+
+    def fold(self, g: np.ndarray, values: np.ndarray,
+             present: np.ndarray) -> None:
+        """Fold valid lanes, in row order, of groups ``g``; ``present``
+        marks the groups that have lanes."""
+        data = self.data
+        if data is None:
+            data = self.data = np.zeros(len(self.validity), dtype=values.dtype)
+        elif data.dtype != values.dtype and data.dtype != object:
+            data = self.data = data.astype(object)
         if data.dtype == object:
-            # a dict, like the row fold's (and no sort of Python objects):
-            # each value's code is the position it was first seen at
-            seen: dict = {}
-            inverse = np.fromiter(map(seen.setdefault, data.tolist(), count()),
-                                  dtype=np.int64, count=len(data))
-            null_code = len(data)
-        else:
-            uniq, inverse = np.unique(data, return_inverse=True)
-            null_code = len(uniq)
-        column = np.full(n, null_code, dtype=np.int64)
-        column[vec.validity] = inverse
-        # codes stay at most n (re-densified once combined), so the
-        # product stays below n * (n + 1)
-        code = column if code is None else np.unique(
-            code * (null_code + 1) + column, return_inverse=True)[1]
-    return code
+            self._fold_objects(g, values)
+            return
+        n, seen = len(data), self.validity
+        fresh = present & ~seen
+        if data.dtype.kind == "f":
+            extreme = np.full(n, np.nan)
+            (np.fmin if self.lowest else np.fmax).at(extreme, g, values)
+            if not values.all():
+                # -0.0 ties 0.0: the group's first lane at its extreme wins
+                lanes = np.flatnonzero(values == extreme[g])
+                first = np.full(n, len(values), dtype=np.intp)
+                np.minimum.at(first, g[lanes], lanes)
+                hit = first < len(values)
+                extreme[hit] = values[first[hit]]
+            nan = np.isnan(values)
+            if nan.any():
+                first = np.full(n, len(values), dtype=np.intp)
+                np.minimum.at(first, g, np.arange(len(values)))
+                fresh_groups = np.flatnonzero(fresh)
+                extreme[fresh_groups[nan[first[fresh_groups]]]] = np.nan
+        else:                   # integers and bools: equal values are equal
+            if data.dtype.kind == "b":
+                fill = self.lowest
+            else:
+                info = np.iinfo(data.dtype)
+                fill = info.max if self.lowest else info.min
+            extreme = np.full(n, fill, dtype=data.dtype)
+            (np.minimum if self.lowest else np.maximum).at(extreme, g, values)
+        better = (np.less if self.lowest else np.greater)(extreme, data)
+        take = fresh | (present & seen & better)
+        data[take] = extreme[take]
+        self.validity = seen | present
 
-
-def _feed(specs, cells: List[list], member: np.ndarray,
-          args: List[Optional[ColumnVector]]) -> None:
-    for spec, cell, vec in zip(specs, cells, args):
-        if vec is None:                        # COUNT(*)
-            cell[0] += len(member)
-            continue
-        valid = vec.validity[member]
-        values = vec.data[member if valid.all() else member[valid]].tolist()
-        if not values:
-            continue
-        cell[0] += len(values)
-        func = spec.func
-        if func in ("sum", "avg"):
-            # not sum(): from Python 3.12 it compensates float rounding
-            cell[1] = reduce(operator.add, values, cell[1])
-        elif func == "min":
-            low = min(values)
-            if cell[2] is None or low < cell[2]:
-                cell[2] = low
-        elif func == "max":
-            high = max(values)
-            if cell[3] is None or high > cell[3]:
-                cell[3] = high
+    def _fold_objects(self, g: np.ndarray, values: np.ndarray) -> None:
+        better = operator.lt if self.lowest else operator.gt
+        data, seen = self.data.tolist(), self.validity.tolist()
+        for group, value in zip(g.tolist(), values.tolist()):
+            if not seen[group] or better(value, data[group]):
+                data[group] = value
+                seen[group] = True
+        self.data = np.fromiter(data, dtype=object, count=len(data))
+        self.validity = np.array(seen, dtype=bool)
 
 
 # -- sort kernel ----------------------------------------------------------
@@ -738,9 +1209,11 @@ def _can_batch(op, ops) -> bool:
         op._batch_keys = (left, right)
         return True
     if isinstance(op, (ops.PHashAggregate, ops.PPartialAgg)):
-        # lanes (or bridged rows) fold into cells; results leave as objects
+        # lanes fold into lanes; bridged rows into cells, left as objects
         op._lane_fns = compile_fold(op, ops)
         return True
+    if isinstance(op, ops.PFinalAgg):
+        return op.child.batch_mode
     if isinstance(op, (ops.PFragment,)):
         return op.child.batch_mode
     if isinstance(op, (ops.PExchange, ops.PUnionAll)):

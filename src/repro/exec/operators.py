@@ -552,9 +552,9 @@ class PNestedLoopJoin(PhysicalOp):
 #
 # One cell ``[count, total, minimum, maximum]`` per aggregate per group is
 # the only aggregate state in the plan executor: row input folds into it
-# with ``_partial_add`` (below), batch input with the lane fold in
-# :mod:`repro.exec.batch`, partial states merge with ``_merge_state``, and
-# ``_finalize_state`` reads the answer out.
+# with ``_partial_add`` (below), partial states merge with ``_merge_state``,
+# and ``_finalize_state`` reads the answer out.  The lane fold in
+# :mod:`repro.exec.batch` keeps the same cells as arrays, one per aggregate.
 
 _STAR = object()
 
@@ -639,23 +639,12 @@ def _fold_rows(op) -> Iterator[Tuple[tuple, List[List[object]]]]:
     yield from groups.items()
 
 
-class _GroupAggregate(PhysicalOp):
-    """What :class:`PHashAggregate` and :class:`PPartialAgg` share: one
-    fold into cells — the lane fold (``batch.partial_states_from_batches``)
-    over a batched child the activation pass compiled it for
-    (``_lane_fns``), else the row fold — each reading its cells out in its
-    own way.  Groups stay charged to memory until the parent pulls past
+class _Aggregate(PhysicalOp):
+    """What the three aggregates share.  Over a batched child they fold
+    lanes into lanes (``_lanes``, the lane fold of :mod:`repro.exec.batch`),
+    bridged to rows for a row-body parent; otherwise rows into cells
+    (``_rows``).  Groups stay charged to memory until the parent pulls past
     the last of them."""
-
-    _lane_fns = None
-
-    def __init__(self, child: PhysicalOp, group_exprs: List[BoundExpr],
-                 aggs: List[AggSpec], schema: Schema,
-                 estimated_rows: float = 0.0, step_text: Optional[str] = None):
-        super().__init__(schema, estimated_rows, step_text)
-        self.child = child
-        self.group_exprs = group_exprs
-        self.aggs = aggs
 
     def children(self) -> Sequence[PhysicalOp]:
         return (self.child,)
@@ -663,13 +652,18 @@ class _GroupAggregate(PhysicalOp):
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
-        return self._count(self._held(self._aggregate()))
+        if self._folds_lanes():
+            from repro.exec.batch import rows_from_batches
+
+            return self._count(self._held(rows_from_batches(self._lanes())))
+        return self._count(self._held(self._rows()))
 
     def execute_batches(self):
+        if self._folds_lanes():
+            return self._held(self._lanes())
         from repro.exec.batch import batches_from_rows
 
-        return self._held(batches_from_rows(self._aggregate(),
-                                            len(self.schema)))
+        return self._held(batches_from_rows(self._rows(), len(self.schema)))
 
     def _held(self, stream):
         # A batch of output rows is built before the parent sees it, so
@@ -682,14 +676,33 @@ class _GroupAggregate(PhysicalOp):
             if mem is not None:
                 mem.finish()
 
-    def _aggregate(self) -> Iterator[tuple]:
-        if self.child.batch_mode and self._lane_fns is not None:
-            from repro.exec.batch import partial_states_from_batches
 
-            folded = partial_states_from_batches(self)
-        else:
-            folded = _fold_rows(self)
-        for key, cells in folded:
+class _GroupAggregate(_Aggregate):
+    """What :class:`PHashAggregate` and :class:`PPartialAgg` share: the
+    lane fold over a batched child the activation pass compiled it for
+    (``_lane_fns``), else the row fold, each reading its cells out in its
+    own way (``_final``: values, or partial states)."""
+
+    _lane_fns = None
+
+    def __init__(self, child: PhysicalOp, group_exprs: List[BoundExpr],
+                 aggs: List[AggSpec], schema: Schema,
+                 estimated_rows: float = 0.0, step_text: Optional[str] = None):
+        super().__init__(schema, estimated_rows, step_text)
+        self.child = child
+        self.group_exprs = group_exprs
+        self.aggs = aggs
+
+    def _folds_lanes(self) -> bool:
+        return self.child.batch_mode and self._lane_fns is not None
+
+    def _lanes(self):
+        from repro.exec.batch import fold_batches
+
+        return fold_batches(self)
+
+    def _rows(self) -> Iterator[tuple]:
+        for key, cells in _fold_rows(self):
             yield key + self._read(cells)
 
     def describe(self) -> str:
@@ -700,6 +713,7 @@ class _GroupAggregate(PhysicalOp):
 
 class PHashAggregate(_GroupAggregate):
     _label = "HashAggregate"
+    _final = True
 
     def _read(self, cells: List[List[object]]) -> tuple:
         return tuple(_finalize_state(cell, spec.func)
@@ -974,16 +988,18 @@ class PPartialAgg(_GroupAggregate):
     """
 
     _label = "PartialAggregate"
+    _final = False
 
     def _read(self, cells: List[List[object]]) -> tuple:
         return tuple(tuple(cell) for cell in cells)
 
 
-class PFinalAgg(PhysicalOp):
+class PFinalAgg(_Aggregate):
     """CN-side half of two-phase aggregation: merge partial states.
 
     Input rows are ``group key + state tuples`` from the data nodes'
-    :class:`PPartialAgg` instances (concatenated through a gather exchange).
+    :class:`PPartialAgg` instances (concatenated through a gather exchange);
+    over lanes, key lanes and state lanes (``batch.merge_batches``).
     Carries the logical aggregate's ``step_text``: its output *is* the
     logical step's output, so learning feedback captures global group
     counts here.
@@ -997,39 +1013,32 @@ class PFinalAgg(PhysicalOp):
         self.n_group_cols = n_group_cols
         self.aggs = aggs
 
-    def children(self) -> Sequence[PhysicalOp]:
-        return (self.child,)
+    def _folds_lanes(self) -> bool:
+        return self.child.batch_mode
 
-    def execute(self) -> Iterator[tuple]:
-        return self._count(self._aggregate())
+    def _lanes(self):
+        from repro.exec.batch import merge_batches
 
-    def _aggregate(self) -> Iterator[tuple]:
+        return merge_batches(self)
+
+    def _rows(self) -> Iterator[tuple]:
         n = self.n_group_cols
         mem, entry_bytes = _op_memory(self)
-        try:
-            groups: Dict[tuple, List[List[object]]] = {}
-            ordered: List[tuple] = []
-            for row in self.child.execute():
-                key = row[:n]
-                cells = groups.get(key)
-                if cells is None:
-                    cells = groups[key] = _new_cells(self.aggs)
-                    ordered.append(key)
-                    if mem is not None:
-                        mem.grow(entry_bytes)
-                for cell, state in zip(cells, row[n:]):
-                    _merge_state(cell, state)
-            if not groups and n == 0:
-                cells = _new_cells(self.aggs)
-                yield tuple(_finalize_state(c, s.func)
-                            for c, s in zip(cells, self.aggs))
-                return
-            for key in ordered:
-                yield key + tuple(_finalize_state(c, s.func)
-                                  for c, s in zip(groups[key], self.aggs))
-        finally:
-            if mem is not None:
-                mem.finish()
+        groups: Dict[tuple, List[List[object]]] = {}
+        for row in self.child.execute():
+            key = row[:n]
+            cells = groups.get(key)
+            if cells is None:
+                cells = groups[key] = _new_cells(self.aggs)
+                if mem is not None:
+                    mem.grow(entry_bytes)
+            for cell, state in zip(cells, row[n:]):
+                _merge_state(cell, state)
+        if not groups and n == 0:
+            groups[()] = _new_cells(self.aggs)      # nothing charged
+        for key, cells in groups.items():
+            yield key + tuple(_finalize_state(c, s.func)
+                              for c, s in zip(cells, self.aggs))
 
     def describe(self) -> str:
         names = ", ".join(c.name for c in self.schema[:self.n_group_cols])

@@ -5,10 +5,12 @@ instructions for fine-grained parallelism"; numpy plays the role of the
 SIMD unit here.  The kernels operate on
 :class:`~repro.storage.colstore.ColumnVector` chunks:
 
-* predicate evaluation producing boolean selection masks,
-* filtered materialization (the spec-mask branch of ``PScan``),
-* one-pass group bucketing (``group_bounds``, used by the lane fold in
-  :mod:`repro.exec.batch`),
+* predicate evaluation producing boolean selection masks — on a TEXT
+  lane that carries its chunk's dictionary codes, ``=`` and ``<>`` are
+  decided once per dictionary entry and gathered by code,
+* filtered materialization (the spec-mask branch of ``PScan``), codes
+  kept, so the lane fold in :mod:`repro.exec.batch` groups TEXT keys by
+  code too,
 * chunked whole-table aggregation (sum/min/max/count/avg) beside its
   row-at-a-time reference, so the storage ablation benchmark can compare
   the two — the classic row-store vs column-store gap on scan-heavy OLAP
@@ -66,6 +68,9 @@ def selection_mask(chunk: Dict[str, ColumnVector],
         if op not in _OPS:
             raise ExecutionError(f"unsupported vector op {op!r}")
         vec = chunk[column]
+        if vec.codes is not None and op in ("=", "<>"):
+            mask &= vec.validity & _OPS[op](vec.dictionary, literal)[vec.codes]
+            continue
         data = vec.data
         if data.dtype != object and isinstance(literal, (int, float)):
             data = comparable(data, np.asarray(literal))[0]
@@ -94,24 +99,11 @@ def scan_filter_vectors(store: ColumnStore, columns: Sequence[str],
         if obs is not None:
             obs.metrics.counter("exec.batches").inc()
             obs.metrics.counter("exec.rows").inc(int(mask.sum()))
-        yield {name: ColumnVector(chunk[name].data[mask],
-                                  chunk[name].validity[mask])
-               for name in columns}
-
-
-def group_bounds(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bucket ``keys`` in one pass: ``(uniq, order, bounds)``.
-
-    ``order[bounds[i]:bounds[i + 1]]`` are the row indices holding
-    ``uniq[i]``, in ascending row order (the stable argsort keeps ties in
-    input order), so per-group gathers see exactly the rows a boolean
-    ``keys == uniq[i]`` mask would select — without rescanning the whole
-    batch once per distinct group.
-    """
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    return uniq, order, bounds
+        if mask.all():
+            # the decoded vectors are read-only: handed out as they are
+            yield {name: chunk[name] for name in columns}
+        else:
+            yield {name: chunk[name].take(mask) for name in columns}
 
 
 @dataclass

@@ -58,32 +58,80 @@ class ColumnChunk:
         return arr
 
     def decode_with_nulls(self) -> "ColumnVector":
+        """The decoded vector, cached.  A TEXT chunk carries its dictionary
+        codes: a ``dict`` chunk's own payload, any other codec's built
+        here, once."""
         if self._decoded is not None:
             return self._decoded
-        values = compression.decode(self.codec, self.payload)
-        validity = np.array([v is not None for v in values], dtype=bool)
         if self.data_type is DataType.TEXT:
-            data = np.array([v if v is not None else "" for v in values], dtype=object)
+            if self.codec == "dict":
+                dictionary, codes = self.payload  # type: ignore[misc]
+            else:
+                dictionary, codes = compression.DictionaryCodec.encode(
+                    compression.decode(self.codec, self.payload))
+            vec = text_vector(dictionary, codes)
         else:
-            data = np.array(
-                [v if v is not None else 0 for v in values],
-                dtype=self.data_type.numpy_dtype,
-            )
-        data.flags.writeable = False
-        validity.flags.writeable = False
-        self._decoded = ColumnVector(data=data, validity=validity)
-        return self._decoded
+            values = compression.decode(self.codec, self.payload)
+            vec = ColumnVector(
+                np.array([v if v is not None else 0 for v in values],
+                         dtype=self.data_type.numpy_dtype),
+                np.array([v is not None for v in values], dtype=bool))
+        for array in (vec._data, vec.validity, vec.codes, vec.dictionary):
+            if array is not None:
+                array.flags.writeable = False
+        self._decoded = vec
+        return vec
 
 
-@dataclass
 class ColumnVector:
-    """A decoded column slice: dense data plus a validity (non-NULL) mask."""
+    """A decoded column slice: dense data plus a validity (non-NULL) mask.
 
-    data: np.ndarray
-    validity: np.ndarray
+    A TEXT lane may also carry its dictionary encoding: ``data`` is then
+    ``dictionary[codes]`` lane for lane (a NULL entry reads ``""``),
+    gathered only when first read, so masks and gathers move the narrow
+    codes alone and a kernel can decide a predicate or a group once per
+    dictionary entry.
+    """
+
+    __slots__ = ("_data", "validity", "codes", "dictionary")
+
+    def __init__(self, data: Optional[np.ndarray], validity: np.ndarray,
+                 codes: Optional[np.ndarray] = None,
+                 dictionary: Optional[np.ndarray] = None):
+        self._data = data
+        self.validity = validity
+        self.codes = codes
+        self.dictionary = dictionary
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            data = self.dictionary[self.codes]
+            # a decoded chunk's vector is shared by every scan: read-only
+            data.flags.writeable = self.codes.flags.writeable
+            self._data = data
+        return self._data
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.validity)
+
+    def take(self, lanes) -> "ColumnVector":
+        """The lanes at ``lanes`` (indices or a boolean mask), codes kept."""
+        if self.codes is None:
+            return ColumnVector(self._data[lanes], self.validity[lanes])
+        return ColumnVector(None, self.validity[lanes], self.codes[lanes],
+                            self.dictionary)
+
+
+def text_vector(dictionary: Sequence[Optional[str]],
+                codes: Sequence[int]) -> ColumnVector:
+    """A TEXT vector from its dictionary encoding, codes in the narrowest
+    unsigned dtype that holds them."""
+    entries = np.array([v if v is not None else "" for v in dictionary],
+                       dtype=object)
+    valid = np.array([v is not None for v in dictionary], dtype=bool)
+    codes = np.array(codes, dtype=np.min_scalar_type(max(len(entries) - 1, 0)))
+    return ColumnVector(None, valid[codes], codes, entries)
 
 
 class ColumnStore:
@@ -157,14 +205,15 @@ class ColumnStore:
             for name in wanted:
                 col = self.schema.column(name)
                 values = cols[name]
-                validity = np.array([v is not None for v in values], dtype=bool)
                 if col.data_type is DataType.TEXT:
-                    data = np.array([v if v is not None else "" for v in values], dtype=object)
-                else:
-                    data = np.array(
-                        [v if v is not None else 0 for v in values],
-                        dtype=col.data_type.numpy_dtype,
-                    )
+                    chunk[name] = text_vector(
+                        *compression.DictionaryCodec.encode(values))
+                    continue
+                validity = np.array([v is not None for v in values], dtype=bool)
+                data = np.array(
+                    [v if v is not None else 0 for v in values],
+                    dtype=col.data_type.numpy_dtype,
+                )
                 chunk[name] = ColumnVector(data=data, validity=validity)
             yield chunk
 

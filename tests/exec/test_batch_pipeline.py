@@ -2,9 +2,9 @@
 
 Covers the two bugfix satellites directly:
 
-* the many-groups regression — the lane fold must bucket groups with one
-  ``np.unique(..., return_inverse=True)`` pass (``group_bounds``) instead
-  of re-scanning the chunk per group (the old path was O(groups x rows));
+* the many-groups regression — the lane fold must give every lane its
+  group id in one pass per batch (``_GroupIds``) instead of re-scanning
+  the chunk per group (the old path was O(groups x rows));
 * NULL semantics — the vectorized/batch kernels and the row executor must
   agree on SQL three-valued logic; the parametrized suite runs the same
   query through both executors and requires identical rows.
@@ -31,7 +31,7 @@ from repro.exec.batch import (
     sort_indices,
 )
 from repro.exec.operators import PPartialAgg, PScan, walk_physical
-from repro.exec.vectorized import group_bounds, row_aggregate
+from repro.exec.vectorized import row_aggregate
 from repro.optimizer.expr import BoundColumn
 from repro.optimizer.logical import AggSpec, ColumnInfo
 from repro.sql.engine import SqlEngine
@@ -87,18 +87,22 @@ class TestManyGroups:
         assert sum(state[0] for _, state in states) == 200_000
         assert elapsed < 5.0, f"lane fold took {elapsed:.1f}s"
 
-    def test_group_bounds_partitions_exactly(self):
-        keys = np.array([3, 1, 3, 2, 1, 1, 3], dtype=np.int64)
-        uniq, order, bounds = group_bounds(keys)
-        assert uniq.tolist() == [1, 2, 3]
-        seen = []
-        for i in range(len(uniq)):
-            member = order[bounds[i]:bounds[i + 1]]
-            assert (keys[member] == uniq[i]).all()
-            # members come back in ascending row order (stable argsort)
-            assert member.tolist() == sorted(member.tolist())
-            seen.extend(member.tolist())
-        assert sorted(seen) == list(range(len(keys)))
+    def test_group_ids_number_groups_in_first_seen_order(self):
+        ids = batch_mod._GroupIds(1)
+
+        def lanes(values):
+            return ColumnVector(
+                np.array([0 if v is None else v for v in values]),
+                np.array([v is not None for v in values]))
+
+        gids, firsts = ids([lanes([3, 1, 3, None, 1])], 5)
+        assert gids.tolist() == [0, 1, 0, 2, 1]
+        assert firsts.tolist() == [0, 1, 3]
+        # a later batch: old groups keep their ids, new ones come after
+        # them in the order their first lanes appear
+        gids, firsts = ids([lanes([7, None, 3, -2, 7])], 5)
+        assert gids.tolist() == [3, 2, 0, 4, 3]
+        assert firsts.tolist() == [0, 3]
 
 
 # -- satellite: NULL semantics, both executors ------------------------------

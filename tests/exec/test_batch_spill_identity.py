@@ -7,7 +7,9 @@ operator runs its row body) must spill the same bytes at the same moments.
 Compared exactly: rows, every operator's profile row (``spilled_bytes``
 included), ``elapsed_time_us`` and the ``wlm_spill`` wait (count, total,
 max).  A batch charged as one lump, or memory released before the parent
-has pulled the last row, spills a different amount.
+has pulled the last row, spills a different amount.  The aggregates fold
+(and the final aggregate merges) a batch's new groups at once, so their
+cases run over a thousand groups and over TEXT keys.
 """
 
 import pytest
@@ -22,19 +24,26 @@ from repro.sql.parser import parse
 BUDGET = 20_000
 ROWS = 3_000
 
-#: name -> (statement, the batched operator that must spill)
+#: name -> (statement, the batched operators that must spill)
 STATEMENTS = {
-    "sort": ("select id, v from facts order by v desc, id", ops.PSort),
+    "sort": ("select id, v from facts order by v desc, id", (ops.PSort,)),
     "join_build": ("select d.label, f.v from dims d, facts f "
-                   "where d.k = f.k", ops.PHashJoin),
+                   "where d.k = f.k", (ops.PHashJoin,)),
     # the final aggregate spills too, while the partials still hold theirs
     "aggregate": ("select v, count(*), sum(k) from facts group by v",
-                  ops.PPartialAgg),
-    # the build side is a row body that itself holds memory (the final
-    # aggregate), released only after the join's last charge
+                  (ops.PPartialAgg, ops.PFinalAgg)),
+    # the build side is a final aggregate, which itself holds memory,
+    # released only after the join's last charge
     "row_build_side": ("select g.c, f.id from (select k, count(*) c "
                        "from facts group by k) g, facts f where g.k = f.k",
-                       ops.PHashJoin),
+                       (ops.PHashJoin,)),
+    # 3 000 groups, each folded and merged in lanes
+    "many_groups": ("select id, count(*), min(v), max(v), avg(v) "
+                    "from facts group by id",
+                    (ops.PPartialAgg, ops.PFinalAgg)),
+    # 1 100 TEXT groups: codes on a column table, objects on a row table
+    "text_groups": ("select tag, count(*), sum(v), min(k) from facts "
+                    "group by tag", (ops.PPartialAgg, ops.PFinalAgg)),
 }
 
 
@@ -44,11 +53,12 @@ def _engine(orientation):
     with_clause = (" with (orientation = column)"
                    if orientation == "column" else "")
     engine.execute("create table facts (id int primary key, k int, "
-                   "v double)" + with_clause)
+                   "v double, tag text)" + with_clause)
     engine.execute("create table dims (k int primary key, label text)"
                    + with_clause)
     engine.execute("insert into facts values " + ", ".join(
-        f"({i}, {i % 500}, {(i * 37) % 1000 / 8})" for i in range(ROWS)))
+        f"({i}, {i % 500}, {(i * 37) % 1000 / 8}, 't{i * 7 % 1100}')"
+        for i in range(ROWS)))
     engine.execute("insert into dims values " + ", ".join(
         f"({k}, 'd{k % 7}')" for k in range(500)))
     engine.analyze()
@@ -69,7 +79,7 @@ def _run(orientation, sql, batched):
 @pytest.mark.parametrize("orientation", ["row", "column"])
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
 def test_batch_spills_like_the_row_reference(orientation, name):
-    sql, spiller = STATEMENTS[name]
+    sql, spillers = STATEMENTS[name]
     engine, batch, batch_spill = _run(orientation, sql, batched=True)
     _, row, row_spill = _run(orientation, sql, batched=False)
     assert batch.rows == row.rows
@@ -83,8 +93,11 @@ def test_batch_spills_like_the_row_reference(orientation, name):
     finally:
         txn.commit()
     enable_batches(physical)
-    assert any(isinstance(op, spiller) and op.batch_mode
-               for op in ops.walk_physical(physical))
-    kind = spiller.__name__[1:]
-    assert any(line[0].strip().startswith(kind) and line[-1] > 0
-               for line in batch.profile.rows_table())
+    for spiller in spillers:
+        assert any(isinstance(op, spiller) and op.batch_mode
+                   for op in ops.walk_physical(physical))
+        kind = {ops.PPartialAgg: "PartialAggregate",
+                ops.PFinalAgg: "FinalAggregate"}.get(spiller,
+                                                     spiller.__name__[1:])
+        assert any(line[0].strip().startswith(kind) and line[-1] > 0
+                   for line in batch.profile.rows_table())

@@ -2,8 +2,9 @@
 
 Random fact and dimension tables — each row- or column-oriented, on 1, 2
 or 4 data nodes, with duplicate, NULL and missing join keys, empty build
-sides, int = double join keys, multi-column and TEXT group keys with NULLs
-— run the same statements three ways:
+sides, int = double join keys, multi-column and TEXT group keys with NULLs,
+TEXT lanes carrying their chunks' dictionary codes, NaN and signed zeros —
+run the same statements three ways:
 
 * the shipped engine (batch bodies, plan cache; every statement twice, so
   the second run is a cache hit);
@@ -29,8 +30,8 @@ import repro.sql.engine as engine_mod
 import repro.storage.colstore as colstore
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import enable_batches
-from repro.exec.operators import (PHashAggregate, PHashJoin, PPartialAgg,
-                                  walk_physical)
+from repro.exec.operators import (PExchange, PFinalAgg, PHashAggregate,
+                                  PHashJoin, PPartialAgg, walk_physical)
 from repro.sql.engine import SqlEngine
 from repro.sql.parser import parse
 
@@ -77,20 +78,33 @@ STATEMENTS = [
 ]
 
 
-def _engine(rows, orientations, num_dns, reference):
+def _engine(rows, orientations, num_dns, reference, merge=False,
+            tables=(FACT, DIM)):
+    """``merge`` folds the load into frozen column chunks first: full
+    chunks are then compressed (a TEXT column of few values ``dict``), the
+    last one stays ``plain``."""
     cluster = MppCluster(num_dns=num_dns)
     engine = SqlEngine(cluster, plan_cache_size=0 if reference else 64)
-    for (name, columns), orientation in zip((FACT, DIM), orientations):
+    for (name, columns), orientation in zip(tables, orientations):
         engine.execute(f"create table {name} ({columns})"
                        + (" with (orientation = column)"
                           if orientation == "column" else ""))
         if rows[name]:
             engine.execute(f"insert into {name} values " + ", ".join(
-                "(" + ", ".join("null" if v is None else repr(v)
-                                for v in row) + ")"
+                "(" + ", ".join(_literal(v) for v in row) + ")"
                 for row in rows[name]))
     engine.analyze()
+    if merge:
+        cluster.htap.tick()
     return engine
+
+
+def _literal(value) -> str:
+    if value is None:
+        return "null"
+    if value == math.inf:
+        return "9" * 400 + ".0"     # parses to inf
+    return repr(value)
 
 
 def _observed(engine, sql):
@@ -102,9 +116,9 @@ def _observed(engine, sql):
             result.profile.elapsed_time_us)
 
 
-def _mirror(rows):
+def _mirror(rows, tables=(FACT, DIM)):
     mirror = sqlite3.connect(":memory:")
-    for name, columns in (FACT, DIM):
+    for name, columns in tables:
         mirror.execute(f"create table {name} ({columns})")
         width = len(columns.split(","))
         mirror.executemany(
@@ -133,30 +147,34 @@ def _same_multiset(got, want) -> bool:
         for g, w in zip(got, want))
 
 
-def check(rows, orientations, num_dns, batch_rows=1024, chunk_rows=4096):
+def check(rows, orientations, num_dns, batch_rows=1024, chunk_rows=4096,
+          statements=STATEMENTS, merge=False, tables=(FACT, DIM)):
     """``batch_rows`` / ``chunk_rows`` shrink batches and column chunks so
     a few rows cross their boundaries (groups first seen in a later batch,
-    a key's matches split across probe batches)."""
+    a key's matches split across probe batches).  Returns the shipped
+    engine."""
     # Both engines see the same statement sequence (each statement twice:
     # planned, then a cache hit on the shipped engine), so the learning
     # optimizer's estimates move in step.
-    sequence = [sql for sql, _ in STATEMENTS for _ in range(2)]
+    sequence = [sql for sql, _ in statements for _ in range(2)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", batch_rows)
         patch.setattr(colstore, "DEFAULT_CHUNK_ROWS", chunk_rows)
-        shipped = _engine(rows, orientations, num_dns, reference=False)
+        shipped = _engine(rows, orientations, num_dns, False, merge, tables)
         with pytest.MonkeyPatch.context() as row_reference:
             row_reference.setattr(engine_mod, "enable_batches",
                                   lambda root: None)
-            reference = _engine(rows, orientations, num_dns, reference=True)
+            reference = _engine(rows, orientations, num_dns, True, merge,
+                                tables)
             expected = [_observed(reference, sql) for sql in sequence]
         for sql, want in zip(sequence, expected):
             assert _observed(shipped, sql) == want, sql
-        mirror = _mirror(rows)
-        for sql, vs_sqlite in STATEMENTS:
+        mirror = _mirror(rows, tables)
+        for sql, vs_sqlite in statements:
             if vs_sqlite:
                 assert _same_multiset(shipped.execute(sql).rows,
                                       mirror.execute(sql).fetchall()), sql
+    return shipped
 
 
 # -- fixed cases ---------------------------------------------------------------
@@ -236,6 +254,171 @@ def test_joins_and_aggregates_run_in_lanes(orientations):
                                                  PPartialAgg))]
     assert aggs and all(op.batch_mode and op.child.batch_mode
                         and op._lane_fns is not None for op in aggs)
+
+
+def test_final_aggregate_merges_lanes():
+    """Partial states cross the gather as lanes and the final aggregate
+    merges them in lanes, under a sort and under ``order by … limit``."""
+    engine = _engine(FIXED, ("column", "row"), 2, reference=False)
+    for sql in ("select g, count(*), min(x) from f group by g order by g",
+                "select h, sum(x) s from f group by h order by s limit 2"):
+        txn = engine.cluster.session().begin(multi_shard=True)
+        try:
+            physical = engine.plan_select(parse(sql), txn)
+        finally:
+            txn.commit()
+        enable_batches(physical)
+        finals = [op for op in walk_physical(physical)
+                  if isinstance(op, PFinalAgg)]
+        assert finals and all(op.batch_mode and op.child.batch_mode
+                              for op in finals)
+        assert any(isinstance(op.child, PExchange)
+                   and isinstance(op.child.children()[0].child, PPartialAgg)
+                   for op in finals)
+
+
+# -- NaN and signed zeros ------------------------------------------------------
+#
+# ``x - x`` is NaN on a row whose ``x`` is inf (a 400-digit literal).  The
+# row fold compares sequentially (nothing is below a NaN, and a NaN is
+# below nothing) and keys its groups by a dict (no NaN finds another);
+# -0.0 and 0.0 compare equal, so whichever came first stays.
+
+F64 = ("f", "id int primary key, x double, g int")
+
+
+def _float_rows(xs, gs):
+    return {"f": [(i, x, g) for i, (x, g) in enumerate(zip(xs, gs))]}
+
+
+@pytest.mark.parametrize("num_dns", [1, 2])
+@pytest.mark.parametrize("orientation", ["row", "column"])
+def test_min_max_across_a_batch_boundary_keep_the_row_order(orientation,
+                                                            num_dns):
+    # group 0: NaN between 1.0 and 0.5, across the boundary; groups 2 and
+    # 3: NaN first, so nothing replaces it
+    rows = _float_rows([1.0, 5.0, math.inf, 0.5, math.inf, 0.5, math.inf],
+                       [0, 1, 0, 0, 2, 2, 3])
+    sql = "select g, min(x - x + x), max(x - x + x) from f group by g"
+    engine = check(rows, (orientation,), num_dns, batch_rows=2, chunk_rows=2,
+                   tables=(F64,), statements=[
+                       (sql, False),
+                       ("select min(x - x + x), max(x - x + x), "
+                        "min(x - x), count(x - x) from f", False)])
+    if num_dns == 1:
+        assert repr(engine.execute(sql).rows) == (
+            "[(0, 0.5, 1.0), (1, 5.0, 5.0), (2, nan, nan), (3, nan, nan)]")
+
+
+@pytest.mark.parametrize("num_dns", [1, 2])
+@pytest.mark.parametrize("orientation", ["row", "column"])
+def test_nan_keys_are_groups_of_their_own(orientation, num_dns):
+    rows = _float_rows([1.0, math.inf, math.inf, -0.0, 0.0], [0] * 5)
+    sql = "select g, x - x, count(*) from f group by g, x - x"
+    engine = check(rows, (orientation,), num_dns, tables=(F64,), statements=[
+        (sql, False),
+        ("select x - x, count(*), min(id) from f group by x - x", False)])
+    if num_dns == 1:
+        assert (repr(engine.execute(sql).rows)
+                == "[(0, 0.0, 3), (0, nan, 1), (0, nan, 1)]")
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (1024, 4096)])
+@pytest.mark.parametrize("orientation", ["row", "column"])
+def test_signed_zeros_as_extremes_and_keys(orientation, sizes):
+    rows = _float_rows([0.0, -0.0, -0.0, 0.0, 1.0, -0.0, 0.0, -1.0],
+                       [0, 0, 1, 1, 1, 2, 2, 2])
+    check(rows, (orientation,), 2, *sizes, tables=(F64,), statements=[
+        ("select g, min(x), max(x), sum(x) from f group by g", False),
+        ("select x, count(*), min(id), max(g) from f group by x", False),
+        ("select x, g, count(*) from f group by x, g", False),
+        ("select min(x), max(x) from f where g < 2", False),
+        ("select g, min(x * 0.0), max(x * 0.0) from f group by g", False)])
+
+
+# -- TEXT lanes carrying dictionary codes --------------------------------------
+
+#: Merged into frozen chunks of eight rows on one DN: the first chunk's
+#: ``g`` is ``dict``-coded ('a', 'b', NULL), the tail chunk's ``plain``
+#: ('c', 'd', NULL), so 'a' is absent from the tail's codes and 'c' from
+#: the first chunk's.
+CODED = {
+    "f": [(i, i % 4, i / 4, g, i % 3) for i, g in enumerate(
+        ["a", "b", "a", None, "b", "a", "b", "a", "c", "d", None])],
+    "d": [(j, j % 4, float(j % 4), tag)
+          for j, tag in enumerate(["p", "q", None, "p", "r", "q"])],
+}
+
+TEXT_STATEMENTS = [
+    ("select g, count(*), count(g), min(g), max(g), sum(x) from f "
+     "group by g", True),
+    ("select g, h, count(*) from f group by g, h", True),
+    ("select id from f where g = 'a'", True),
+    ("select id from f where g = 'c'", True),
+    ("select id from f where g = 'zz'", True),
+    ("select id from f where g <> 'a'", True),
+    ("select id from f where 'b' = g", True),
+    ("select id from f where g in ('a', 'd')", True),
+    ("select id from f where g in ('b', null)", True),
+    ("select id from f where g not in ('a', 'c')", True),
+    # the row interpreter's own NULL-item rule, not SQL's: reference only
+    ("select id from f where g not in ('a', null)", False),
+    ("select id, g = 'a', g <> 'b', g in ('c') from f", False),
+    ("select g, count(*) from f where g <> 'b' and x > 0.5 group by g", True),
+    ("select count(*) from f where g = 'a' or g is null", True),
+    # after a join: the lanes gathered with ``take``, codes and all
+    ("select f.g, d.tag, count(*) from f, d where f.k = d.k "
+     "group by f.g, d.tag", True),
+    ("select d.tag, count(*) from f, d where f.k = d.k and f.g = 'b' "
+     "and d.tag <> 'p' group by d.tag", True),
+    # after a union: two dictionaries in one lane
+    ("select g, count(*) from (select g from f union all "
+     "select tag from d) u group by g", True),
+    ("select g from f union all select tag from d order by g", True),
+]
+
+
+@pytest.mark.parametrize("num_dns", [1, 2])
+@pytest.mark.parametrize("orientations", [("column", "column"),
+                                          ("column", "row"),
+                                          ("row", "column")])
+def test_text_codes_across_dict_and_plain_chunks(orientations, num_dns):
+    engine = check(CODED, orientations, num_dns, batch_rows=4, chunk_rows=8,
+                   statements=TEXT_STATEMENTS, merge=True)
+    if orientations[0] == "column" and num_dns == 1:
+        # guard the guard: the codecs the statements were written against
+        store = engine.cluster.dns[0].htap.tables["f"].frozen.store
+        assert [chunk["g"].codec for chunk in store._sealed] == ["dict",
+                                                                 "plain"]
+        assert all(chunk["g"].decode_with_nulls().codes is not None
+                   for chunk in store._sealed)
+
+
+def test_many_groups_first_seen_in_later_batches():
+    """A ``cust_id``-style fold: 500 integer groups, 200 of them first
+    seen after the first batches; keys spread past the direct-address
+    table (``k * 100003``) and key pairs past it (``k, id``)."""
+    fact = [(i, (i * 37) % 300 if i < 300 else 300 + i % 200, i / 8,
+             "abcde"[i % 5] if i % 11 else None, None if i % 13 == 0 else i % 7)
+            for i in range(600)]
+    rows = {"f": fact, "d": [(j, j, float(j), "pq"[j % 2]) for j in range(50)]}
+    statements = [
+        ("select k, count(*), sum(x), avg(x), min(x), max(x), min(g), "
+         "max(h) from f group by k", True),
+        ("select k, g, count(*), sum(h) from f group by k, g", True),
+        ("select k * 100003, count(*) from f group by k * 100003", True),
+        ("select id * 1000, count(*) from f group by id * 1000", True),
+        ("select k, id, count(*) from f group by k, id", True),
+        ("select h, g, k, count(*) from f group by h, g, k", True),
+        ("select k, sum(x) s from f group by k order by s desc, k limit 5",
+         False),
+        ("select d.tag, f.k, count(*) from f, d where f.h = d.k "
+         "group by d.tag, f.k", True),
+    ]
+    for orientations in (("column", "row"), ("row", "column")):
+        for num_dns in (1, 2):
+            check(rows, orientations, num_dns, batch_rows=64, chunk_rows=128,
+                  statements=statements, merge=orientations[0] == "column")
 
 
 # -- generated cases -----------------------------------------------------------
