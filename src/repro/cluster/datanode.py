@@ -30,6 +30,32 @@ class RedoOp:
     values: Optional[Dict[str, object]] = None
 
 
+class _Image:
+    """A row table's visible rows under its last walk, as one typed batch:
+    the column image a lane scan reuses while it is exact.
+
+    It is exact for a later scan of the same heap, while the heap's
+    mutation count is unchanged, under a snapshot that decides every xid
+    in ``decisions`` as the walk did (``MvccHeap.visible``)."""
+
+    __slots__ = ("heap", "mutations", "decisions", "batch")
+
+    def __init__(self, heap: MvccHeap, decisions: Dict[int, bool], batch):
+        self.heap = heap
+        self.mutations = heap.mutations
+        self.decisions = decisions
+        #: ``None`` when no row is visible
+        self.batch = batch
+
+    def serves(self, heap: MvccHeap, snapshot: Snapshot, clog,
+               xid: int) -> bool:
+        if heap is not self.heap or heap.mutations != self.mutations:
+            return False
+        xid_visible = snapshot.xid_visible
+        return all(xid_visible(x, clog, xid) == ok
+                   for x, ok in self.decisions.items())
+
+
 class DataNode:
     """One shard server: local XIDs, local clog, local heaps."""
 
@@ -40,6 +66,8 @@ class DataNode:
         self._heaps: Dict[str, MvccHeap] = {}
         self._schemas: Dict[str, TableSchema] = {}
         self._redo: Dict[int, List[RedoOp]] = {}
+        #: table -> the column image of its last lane scan (:meth:`scan_lanes`)
+        self._images: Dict[str, _Image] = {}
         #: Invoked with a committed transaction's redo ops (HA log shipping).
         self.replication_hook: Optional[Callable[[List[RedoOp]], None]] = None
         #: Invoked with (gxid, redo) at prepare time — 2PC's durability point.
@@ -137,6 +165,7 @@ class DataNode:
     def drop_table(self, name: str) -> None:
         self._heaps.pop(name, None)
         self._schemas.pop(name, None)
+        self._images.pop(name, None)
 
     def heap(self, table: str) -> MvccHeap:
         try:
@@ -260,6 +289,39 @@ class DataNode:
         for item in self.heap(table).visible(snapshot, self.ltm.clog, xid):
             self._n_rows += 1
             yield item
+
+    def scan_lanes(self, table: str, snapshot: Snapshot,
+                   xid: int = INVALID_XID):
+        """:meth:`scan` as typed batches of ``DEFAULT_BATCH_SIZE`` rows in
+        table-column order, counted as the walk counts them.
+
+        The rows come from the table's column image, which is walked again
+        only when it no longer is exact for ``snapshot`` (:class:`_Image`).
+        Its arrays are read-only: they are shared by every scan it serves.
+        """
+        from repro.exec import batch as batch_mod
+
+        self._n_scan += 1
+        heap = self.heap(table)
+        clog = self.ltm.clog
+        image = self._images.get(table)
+        if image is None or not image.serves(heap, snapshot, clog, xid):
+            schema = self._schemas[table]
+            decisions: Dict[int, bool] = {}
+            rows = list(schema.rows_of(
+                heap.visible(snapshot, clog, xid, decisions)))
+            image = self._images[table] = _Image(
+                heap, decisions, batch_mod.batch_of_rows(
+                    rows, [c.data_type for c in schema.columns]).read_only()
+                if rows else None)
+        whole = image.batch
+        if whole is None:
+            return
+        size = batch_mod.DEFAULT_BATCH_SIZE
+        for start in range(0, whole.n, size):
+            part = whole.slice(start, size)
+            self._n_rows += part.n
+            yield part
 
     def column_store_snapshot(self, table: str, snapshot: Snapshot,
                               xid: int = INVALID_XID, row_filter=None):

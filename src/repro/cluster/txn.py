@@ -823,17 +823,13 @@ class GlobalTransaction(_BaseTransaction):
                            if dn.read(table, key, view, lxid) is not None
                            else None)
 
-    def scan(self, table: str) -> Iterator[Tuple[object, Dict[str, object]]]:
-        """Every visible ``(key, values)`` of ``table`` on every node;
-        ``values`` is the stored row (:meth:`DataNode.scan`), so copy it
-        before changing it."""
-        self._require_running()
+    def _scan_sites(self, table: str):
+        """Charge a scan of every node's slice of ``table`` and return the
+        ``(dn, lxid, view)`` handles to read, in scan order."""
         self._charge_cn()
         schema = self._schema(table)
         if schema.distribution is Distribution.REPLICATION:
-            dn, lxid, view = self._attach(self._cluster.dn_indices()[0])
-            yield from dn.scan(table, view, lxid)
-            return
+            return [self._attach(self._cluster.dn_indices()[0])]
         # The data nodes scan their shards concurrently: the coordinator
         # fans the statement out and waits for the slowest node, so the
         # client's cursor advances by the max across DNs, not the serial
@@ -853,14 +849,52 @@ class GlobalTransaction(_BaseTransaction):
         if self._ctx is not None:
             self._ctx.t_us = end_us
             self._sync_obs()
-        for dn, lxid, view in handles:
-            keep = self._scan_filter(table, dn.index)
-            if keep is None:
-                yield from dn.scan(table, view, lxid)
-            else:
-                for key, values in dn.scan(table, view, lxid):
-                    if keep(values):
-                        yield key, values
+        return handles
+
+    def _scan_site(self, dn_index: int):
+        """Charge a scan of one node's slice and return its handle."""
+        dn, lxid, view = self._attach(dn_index)
+        self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
+        self._nw_scan += 1
+        self._last_wait_event = WAIT_DN_SCAN
+        return dn, lxid, view
+
+    def _visible_on(self, table: str, dn, lxid: int, view):
+        """The walk of one node's slice, rows in a shard-map-excluded slot
+        hidden (:meth:`_scan_filter`)."""
+        items = dn.scan(table, view, lxid)
+        keep = self._scan_filter(table, dn.index)
+        if keep is not None:
+            items = ((key, values) for key, values in items if keep(values))
+        return items
+
+    def _lanes_on(self, table: str, dn, lxid: int, view):
+        """:meth:`_visible_on` as typed batches: the node's column image,
+        or inside a rebalance window the filtered walk."""
+        if self._scan_filter(table, dn.index) is None:
+            return dn.scan_lanes(table, view, lxid)
+        from repro.exec.batch import batches_from_rows
+
+        schema = self._schema(table)
+        return batches_from_rows(
+            schema.rows_of(self._visible_on(table, dn, lxid, view)),
+            len(schema.columns), types=[c.data_type for c in schema.columns])
+
+    def scan(self, table: str) -> Iterator[Tuple[object, Dict[str, object]]]:
+        """Every visible ``(key, values)`` of ``table`` on every node;
+        ``values`` is the stored row (:meth:`DataNode.scan`), so copy it
+        before changing it."""
+        self._require_running()
+        for dn, lxid, view in self._scan_sites(table):
+            yield from self._visible_on(table, dn, lxid, view)
+
+    def scan_lanes(self, table: str):
+        """:meth:`scan` as typed batches (``repro.exec.batch.Batch``) of
+        rows in table-column order, node by node, charged as :meth:`scan`
+        is."""
+        self._require_running()
+        for dn, lxid, view in self._scan_sites(table):
+            yield from self._lanes_on(table, dn, lxid, view)
 
     def scan_shard(self, table: str, dn_index: int) -> Iterator[tuple]:
         """Scan one node's slice of ``table`` — a hash shard, or the local
@@ -868,24 +902,21 @@ class GlobalTransaction(_BaseTransaction):
         This is the plan-fragment scan path: each fragment reads only the
         node it runs on."""
         self._require_running()
-        dn, lxid, view = self._attach(dn_index)
-        self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
-        self._nw_scan += 1
-        self._last_wait_event = WAIT_DN_SCAN
-        items = dn.scan(table, view, lxid)
-        keep = self._scan_filter(table, dn.index)
-        if keep is not None:
-            items = ((key, values) for key, values in items if keep(values))
-        return self._schema(table).rows_of(items)
+        dn, lxid, view = self._scan_site(dn_index)
+        return self._schema(table).rows_of(
+            self._visible_on(table, dn, lxid, view))
+
+    def scan_shard_lanes(self, table: str, dn_index: int):
+        """:meth:`scan_shard` as typed batches, charged as it is."""
+        self._require_running()
+        dn, lxid, view = self._scan_site(dn_index)
+        return self._lanes_on(table, dn, lxid, view)
 
     def shard_column_store(self, table: str, dn_index: int):
         """One node's slice of ``table`` as a column-store MVCC snapshot,
         for fragments that run the vectorized kernels."""
         self._require_running()
-        dn, lxid, view = self._attach(dn_index)
-        self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
-        self._nw_scan += 1
-        self._last_wait_event = WAIT_DN_SCAN
+        dn, lxid, view = self._scan_site(dn_index)
         return dn.column_store_snapshot(
             table, view, lxid, row_filter=self._scan_filter(table, dn.index))
 

@@ -49,7 +49,8 @@ from repro.optimizer.expr import (
     BoundIsNull,
     BoundUnary,
 )
-from repro.storage.colstore import ColumnVector
+from repro.storage.colstore import ColumnVector, text_vector
+from repro.storage.compression import DictionaryCodec
 from repro.storage.types import DataType
 
 #: Rows per materialized batch for operators that re-chunk their output
@@ -71,6 +72,20 @@ class Batch:
 
     def select(self, mask: np.ndarray) -> "Batch":
         return Batch([c.take(mask) for c in self.columns], int(mask.sum()))
+
+    def slice(self, start: int, count: int) -> "Batch":
+        """Up to ``count`` lanes from ``start``, as views."""
+        if not start and count >= self.n:
+            return self
+        lanes = slice(start, start + count)
+        return Batch([c.take(lanes) for c in self.columns],
+                     min(count, self.n - start))
+
+    def read_only(self) -> "Batch":
+        """This batch with every lane's arrays non-writeable."""
+        for column in self.columns:
+            column.read_only()
+        return self
 
 
 class StateVector:
@@ -149,7 +164,8 @@ def batches_from_rows(rows: Iterable[tuple], width: int,
 
     Lanes are object dtype holding the rows' exact Python objects, or —
     with ``types``, for values a table stored coerced to its schema — the
-    type's numpy dtype (TEXT, an unknown type or an unfit value: object).
+    type's numpy dtype (an unknown type or an unfit value: object; TEXT:
+    dictionary codes, as a column chunk carries them).
     """
     types = types if types is not None else (None,) * width
     batch_size = batch_size or DEFAULT_BATCH_SIZE
@@ -171,7 +187,9 @@ def batch_of_rows(rows: List[tuple],
 
 def _lane(values: tuple, data_type: Optional[DataType]) -> ColumnVector:
     n = len(values)
-    if data_type is not None and data_type is not DataType.TEXT:
+    if data_type is DataType.TEXT:
+        return text_vector(*DictionaryCodec.encode(values))
+    if data_type is not None:
         try:
             if None not in values:
                 return ColumnVector(np.array(values, data_type.numpy_dtype),
@@ -1057,11 +1075,12 @@ def hash_join_batches(join) -> Iterator[Batch]:
     row body charges them: per batch with ``grow_entries``, or — from a
     row-body build side — row by row as they are pulled, then collected
     into one object batch.  Valid build lanes are stably sorted by key
-    code, so each key's lanes keep build-insertion order; a probe lane
-    finds its match range with ``searchsorted`` and ``np.repeat`` expands
-    the ranges, lane-major: the row probe's exact output order.  Right
-    columns are gathered with ``take``.  Keys compare as Python values do
-    (``1 = 1.0``, exactly past 2**53); a NULL key never matches.
+    (:class:`_SortedKeys`), so each key's lanes keep build-insertion order;
+    a probe lane finds its match range with ``searchsorted`` and
+    ``np.repeat`` expands the ranges, lane-major: the row probe's exact
+    output order.  Right columns are gathered with ``take``.  Keys compare
+    as Python values do (``1 = 1.0``, exactly past 2**53); a NULL or NaN
+    key never matches.
     """
     from repro.exec.operators import _op_memory
 
@@ -1088,23 +1107,17 @@ def hash_join_batches(join) -> Iterator[Batch]:
                 pass
             return
         build = concat_batches(kept, width)
-        keys = [fn(build).data for fn in right_fns]
-        uniqs = [np.unique(key) for key in keys]
-        codes, _ = _key_codes(uniqs, keys)
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
+        keys = (_SortedKeys if len(right_fns) == 1 else _CodedKeys)(
+            [fn(build).data for fn in right_fns])
         for batch in join.left.batches():
             vecs = [fn(batch) for fn in left_fns]
             lanes = np.flatnonzero(_all_valid(vecs))
-            probe, hit = _key_codes(uniqs, [vec.data[lanes] for vec in vecs])
-            low = np.searchsorted(codes, probe)
-            counts = np.where(hit, np.searchsorted(codes, probe, "right")
-                              - low, 0)
+            low, counts = keys.ranges([vec.data[lanes] for vec in vecs])
             total = int(counts.sum())
             if not total:
                 continue
             starts = np.repeat(low - np.cumsum(counts) + counts, counts)
-            picked = order[starts + np.arange(total)]
+            picked = keys.order[starts + np.arange(total)]
             yield Batch(batch.take(np.repeat(lanes, counts)).columns
                         + build.take(picked).columns, total)
     finally:
@@ -1114,6 +1127,49 @@ def hash_join_batches(join) -> Iterator[Batch]:
 
 def _all_valid(vecs: List[ColumnVector]) -> np.ndarray:
     return np.logical_and.reduce([vec.validity for vec in vecs])
+
+
+class _SortedKeys:
+    """A one-column build side: its lanes stably sorted by their own key
+    values (``order``), NaN lanes left out."""
+
+    def __init__(self, datas: List[np.ndarray]):
+        key = datas[0]
+        if key.dtype.kind in "fO":
+            lanes = np.flatnonzero(key == key)
+            self.order = lanes[np.argsort(key[lanes], kind="stable")]
+        else:
+            self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def ranges(self, datas: List[np.ndarray]):
+        """``(low, counts)``: where each probe key's equal build keys start
+        in ``order``, and how many there are."""
+        keys, probe = comparable(self.keys, datas[0])
+        if not len(keys):
+            return np.zeros(len(probe), dtype=np.intp), np.zeros(
+                len(probe), dtype=np.intp)
+        low = np.searchsorted(keys, probe)
+        hit = keys[np.minimum(low, len(keys) - 1)] == probe
+        return low, np.where(hit, np.searchsorted(keys, probe, "right")
+                             - low, 0)
+
+
+class _CodedKeys:
+    """A composite-key build side: each lane's key tuple as one code
+    (:func:`_key_codes`), lanes stably sorted by it (``order``)."""
+
+    def __init__(self, datas: List[np.ndarray]):
+        self.uniqs = [np.unique(data) for data in datas]
+        codes, _ = _key_codes(self.uniqs, datas)
+        self.order = np.argsort(codes, kind="stable")
+        self.codes = codes[self.order]
+
+    def ranges(self, datas: List[np.ndarray]):
+        probe, hit = _key_codes(self.uniqs, datas)
+        low = np.searchsorted(self.codes, probe)
+        return low, np.where(hit, np.searchsorted(self.codes, probe, "right")
+                             - low, 0)
 
 
 def _key_codes(uniqs: List[np.ndarray], datas: List[np.ndarray]):

@@ -83,7 +83,9 @@ class ScanBinding:
     ``rows`` yields tuples in table-column order.  ``column_store`` is
     present for column-oriented tables scanned on a specific data node: it
     builds that shard's :class:`~repro.storage.colstore.ColumnStore`
-    snapshot on demand.  ``lookup(sites)`` is the keyed source behind
+    snapshot on demand.  ``lanes`` is present for row-oriented tables: the
+    same rows as typed batches, read from the data nodes' column images
+    (``DataNode.scan_lanes``).  ``lookup(sites)`` is the keyed source behind
     ``KeyLookup``: the visible rows of the ``(dn_index, keys)`` probes in
     ``sites``, in the order a scan of those nodes would yield them.
     """
@@ -91,6 +93,7 @@ class ScanBinding:
     rows: Callable[[], Iterable[tuple]]
     column_store: Optional[Callable[[], object]] = None
     lookup: Optional[Callable[[tuple], Iterable[tuple]]] = None
+    lanes: Optional[Callable[[], Iterable[object]]] = None
 
 
 # -- predicate compilation ------------------------------------------------

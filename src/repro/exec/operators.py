@@ -166,7 +166,9 @@ class PScan(PhysicalOp):
     column scan: batch-mode parents consume it directly, and ``execute``
     bridges it back to rows wherever a row-only parent sits above.  A
     row-oriented table batches too: the rows its row body would yield,
-    in the same order, become lanes of the schema's types.
+    in the same order, as lanes of the schema's types — read from
+    ``lanes`` (the data nodes' column images) when the engine binds it,
+    else typed from the row source.
 
     A coordinator-side scan of a distributed table is not free: every raw
     tuple crosses the network from ``remote_sources`` shards before the
@@ -185,13 +187,15 @@ class PScan(PhysicalOp):
                  estimated_rows: float = 0.0, step_text: Optional[str] = None,
                  vector_store: Optional[Callable[[], object]] = None,
                  vector_preds: Optional[List[Tuple[str, str, object]]] = None,
-                 remote_sources: int = 0, cost_model=None):
+                 remote_sources: int = 0, cost_model=None,
+                 lanes: Optional[Callable[[], Iterable[object]]] = None):
         super().__init__(schema, estimated_rows, step_text)
         self.table = table
         self.source = source
         self.predicate = predicate
         self.vector_store = vector_store
         self.vector_preds = vector_preds
+        self.lanes = lanes
         #: Shards drained over the wire (0 = the scan is node-local).
         self.remote_sources = remote_sources
         self.cost_model = cost_model
@@ -267,9 +271,15 @@ class PScan(PhysicalOp):
         """The row source as typed lanes: ``DEFAULT_BATCH_SIZE`` source
         rows at a time, each chunk counted whole into ``scanned_rows`` (a
         batch consumer drains the source, so the total is exact), minus
-        the rows ``predicate`` (the row interpreter) rejects."""
+        the rows ``predicate`` (the row interpreter) rejects.  Without
+        one, the batches are ``lanes``' instead, counted the same way."""
         from repro.exec import batch as batch_mod
 
+        if predicate is None and self.lanes is not None:
+            for batch in self.lanes():
+                self.scanned_rows += batch.n
+                yield batch
+            return
         types = [c.data_type for c in self.schema]
         rows = iter(self.source())
         while True:

@@ -369,6 +369,7 @@ class PhysicalPlanner:
             remote_sources=0 if dn_index is not None
             else self._remote_sources(plan.table),
             cost_model=self.cost_model,
+            lanes=getattr(source, "lanes", None),
         )
 
     def _lower_dist(self, plan: LogicalPlan) -> Tuple[FragmentBuilder, Locus]:

@@ -451,11 +451,18 @@ class SqlEngine:
                     yield from schema.rows_of(current_txn().read_many(
                         schema.name, keys, site))
 
+            # A row-oriented table's lane scan reads the data nodes'
+            # column images; its row body keeps walking the heap.
+            row_table = schema.orientation is Orientation.ROW
             if dn_index is None:
                 def rows() -> Iterable[tuple]:
                     return schema.rows_of(current_txn().scan(schema.name))
 
-                return ScanBinding(rows, lookup=lookup)
+                def lanes():
+                    return current_txn().scan_lanes(schema.name)
+
+                return ScanBinding(rows, lookup=lookup,
+                                   lanes=lanes if row_table else None)
 
             # A plan fragment's scan: only this data node's slice.  Column-
             # oriented tables additionally expose a column-store snapshot so
@@ -463,12 +470,15 @@ class SqlEngine:
             def rows() -> Iterable[tuple]:
                 return current_txn().scan_shard(schema.name, dn_index)
 
-            column_store = None
-            if schema.orientation is Orientation.COLUMN:
-                def column_store(table=schema.name, dn=dn_index):
-                    return current_txn().shard_column_store(table, dn)
+            def lanes():
+                return current_txn().scan_shard_lanes(schema.name, dn_index)
 
-            return ScanBinding(rows, column_store=column_store, lookup=lookup)
+            def column_store():
+                return current_txn().shard_column_store(schema.name, dn_index)
+
+            return ScanBinding(rows, lookup=lookup,
+                               column_store=None if row_table else column_store,
+                               lanes=lanes if row_table else None)
 
         def table_function_rows(name: str, args: Tuple[object, ...]):
             impl = self.table_functions.get(name)

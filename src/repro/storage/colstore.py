@@ -76,10 +76,7 @@ class ColumnChunk:
                 np.array([v if v is not None else 0 for v in values],
                          dtype=self.data_type.numpy_dtype),
                 np.array([v is not None for v in values], dtype=bool))
-        for array in (vec._data, vec.validity, vec.codes, vec.dictionary):
-            if array is not None:
-                array.flags.writeable = False
-        self._decoded = vec
+        self._decoded = vec.read_only()
         return vec
 
 
@@ -114,6 +111,14 @@ class ColumnVector:
 
     def __len__(self) -> int:
         return len(self.validity)
+
+    def read_only(self) -> "ColumnVector":
+        """This vector with its arrays marked non-writeable, for one shared
+        by every scan (a decoded chunk, a row table's column image)."""
+        for array in (self._data, self.validity, self.codes, self.dictionary):
+            if array is not None:
+                array.flags.writeable = False
+        return self
 
     def take(self, lanes) -> "ColumnVector":
         """The lanes at ``lanes`` (indices or a boolean mask), codes kept."""

@@ -59,12 +59,18 @@ class MvccHeap:
         # output byte-for-byte from frozen chunks plus delta entries.
         self._stamps: Dict[object, int] = {}
         self._next_stamp = 0
+        #: Bumped by every change to ``_chains`` or to a version's ``xmax``
+        #: (nothing outside this class writes either): while it holds, a
+        #: walk under snapshots that decide the same xids the same way
+        #: yields the same rows.
+        self.mutations = 0
 
     # -- write path -------------------------------------------------------
 
     def insert(self, key: object, values: Dict[str, object], xid: int,
                snapshot: Snapshot, clog: StatusLog) -> None:
         """Insert a new row; the key must not be visibly or concurrently alive."""
+        self.mutations += 1
         if key not in self._chains:
             self._stamps[key] = self._next_stamp
             self._next_stamp += 1
@@ -83,11 +89,13 @@ class MvccHeap:
                snapshot: Snapshot, clog: StatusLog) -> None:
         """Replace the visible version of ``key`` with new values."""
         old = self._writable_version(key, xid, snapshot, clog)
+        self.mutations += 1
         old.xmax = xid
         self._chains[key].append(TupleVersion(xmin=xid, values=dict(values)))
 
     def delete(self, key: object, xid: int, snapshot: Snapshot, clog: StatusLog) -> None:
         old = self._writable_version(key, xid, snapshot, clog)
+        self.mutations += 1
         old.xmax = xid
 
     def abort_writes(self, xid: int) -> int:
@@ -108,6 +116,7 @@ class MvccHeap:
         chain = self._chains.get(key)
         if chain is None:
             return 0
+        self.mutations += 1
         touched = 0
         kept = []
         for version in chain:
@@ -134,7 +143,9 @@ class MvccHeap:
         return dict(version.values) if version is not None else None
 
     def visible(self, snapshot: Snapshot, clog: StatusLog,
-                own_xid: int = INVALID_XID) -> Iterator[Tuple[object, Dict[str, object]]]:
+                own_xid: int = INVALID_XID,
+                seen: Optional[Dict[int, bool]] = None
+                ) -> Iterator[Tuple[object, Dict[str, object]]]:
         """Yield every visible (key, values) pair, in key insertion order.
 
         ``values`` is the stored version's dict itself, not a copy: read
@@ -148,8 +159,14 @@ class MvccHeap:
         ABORTED, both terminal.  Walks are drained inside one statement,
         where no transaction resolves; and inserting a new key mid-walk
         raises (the chain dict changes size).
+
+        ``seen`` is where the decisions are kept, xid -> visible, in the
+        order they were made; pass a dict to hold them after the walk.  The
+        walk consults only these xids, so while :attr:`mutations` holds, a
+        snapshot deciding each of them the same way yields the same rows.
         """
-        seen: Dict[int, bool] = {}
+        if seen is None:
+            seen = {}
         xid_visible = snapshot.xid_visible
         for key, chain in self._chains.items():
             # Newest-first, as _pick_visible: at most one version is visible.
@@ -208,6 +225,9 @@ class MvccHeap:
                     removed += 1
                 else:
                     kept.append(version)
+            if len(kept) == len(chain):
+                continue
+            self.mutations += 1
             if kept:
                 self._chains[key] = kept
             else:

@@ -9,13 +9,17 @@ included), ``elapsed_time_us`` and the ``wlm_spill`` wait (count, total,
 max).  A batch charged as one lump, or memory released before the parent
 has pulled the last row, spills a different amount.  The aggregates fold
 (and the final aggregate merges) a batch's new groups at once, so their
-cases run over a thousand groups and over TEXT keys.
+cases run over a thousand groups and over TEXT keys.  A row table's lane
+scan reuses its data nodes' column images, so a join whose build side is
+one must spill as the reference does, and an image hit must charge and
+count exactly as the fresh walk it replaces.
 """
 
 import pytest
 
 import repro.sql.engine as engine_mod
 from repro.cluster.mpp import MppCluster
+from repro.cluster.txn import GlobalTransaction
 from repro.exec import operators as ops
 from repro.exec.batch import enable_batches
 from repro.sql.engine import SqlEngine
@@ -66,11 +70,15 @@ def _engine(orientation):
     return engine
 
 
-def _run(orientation, sql, batched):
+def _run(orientation, sql, batched, warm=False):
+    """``warm`` runs ``sql`` once first: the run measured then reads the
+    images the first one left."""
     with pytest.MonkeyPatch.context() as patch:
         engine = _engine(orientation)
         if not batched:
             patch.setattr(engine_mod, "enable_batches", lambda root: None)
+        if warm:
+            engine.execute(sql)
         result = engine.execute(sql)
     spill = engine.cluster.obs.waits.stats("wlm_spill")
     return engine, result, (spill.count, spill.total_us, spill.max_us)
@@ -101,3 +109,62 @@ def test_batch_spills_like_the_row_reference(orientation, name):
                                                      spiller.__name__[1:])
         assert any(line[0].strip().startswith(kind) and line[-1] > 0
                    for line in batch.profile.rows_table())
+
+
+def _images(engine):
+    return [dict(dn._images) for dn in engine.cluster.dns]
+
+
+@pytest.mark.parametrize("name", ["join_build", "row_build_side"])
+def test_image_build_side_spills_like_the_row_reference(name):
+    sql, _ = STATEMENTS[name]
+    engine, batch, batch_spill = _run("row", sql, batched=True, warm=True)
+    _, row, row_spill = _run("row", sql, batched=False, warm=True)
+    assert batch.rows == row.rows
+    assert batch.profile.rows_table() == row.profile.rows_table()
+    assert batch.profile.elapsed_time_us == row.profile.elapsed_time_us
+    assert batch_spill == row_spill and batch_spill[0] > 0
+    # guard the guard: the measured run read the images the warm run left
+    images = _images(engine)
+    assert all(images) and engine.execute(sql).rows == batch.rows
+    assert _images(engine) == images
+
+
+@pytest.mark.parametrize("sql", [
+    STATEMENTS["join_build"][0],
+    "select d.label, count(*), sum(f.v) from dims d, facts f "
+    "where d.k = f.k and d.label <> 'd3' group by d.label",
+    "select tag, count(*) from facts where id > 100 group by tag",
+])
+def test_an_image_hit_charges_and_counts_as_a_fresh_walk(sql):
+    def measured(fresh):
+        engine = _engine("row")
+        engine.execute(sql)                     # leaves the images
+        images = _images(engine)
+        if fresh:
+            for dn in engine.cluster.dns:
+                dn._images.clear()
+        metrics = engine.cluster.obs.metrics
+        before = [metrics.value(name) for name in ("dn.scan", "exec.rows")]
+        scans = []
+        finish = GlobalTransaction._finish_span
+
+        def finish_span(txn, outcome):
+            scans.append(txn._nw_scan)
+            finish(txn, outcome)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GlobalTransaction, "_finish_span", finish_span)
+            result = engine.execute(sql)
+        # a hit keeps every image; a fresh walk leaves new ones
+        kept = [image is images[i].get(table)
+                for i, dn in enumerate(engine.cluster.dns)
+                for table, image in dn._images.items()]
+        assert kept and all(kept) != fresh and any(kept) != fresh
+        return (result.rows, result.profile.rows_table(),
+                result.profile.elapsed_time_us,
+                engine.cluster.obs.waits.rows(),
+                [metrics.value(name) - was for name, was
+                 in zip(("dn.scan", "exec.rows"), before)], scans)
+
+    assert measured(fresh=False) == measured(fresh=True)

@@ -7,7 +7,8 @@ TEXT lanes carrying their chunks' dictionary codes, NaN and signed zeros —
 run the same statements three ways:
 
 * the shipped engine (batch bodies, plan cache; every statement twice, so
-  the second run is a cache hit);
+  the second run is a cache hit; a row table's scans read the data nodes'
+  column images, so the second run reuses the first one's);
 * the row reference: the same engine with a no-op in place of
   ``repro.sql.engine.enable_batches`` and no plan cache, so every operator
   runs its row body;
@@ -28,6 +29,7 @@ import pytest
 import repro.exec.batch as batch_mod
 import repro.sql.engine as engine_mod
 import repro.storage.colstore as colstore
+from repro.cluster.datanode import DataNode
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import enable_batches
 from repro.exec.operators import (PExchange, PFinalAgg, PHashAggregate,
@@ -104,6 +106,8 @@ def _literal(value) -> str:
         return "null"
     if value == math.inf:
         return "9" * 400 + ".0"     # parses to inf
+    if value != value:
+        return f"({_literal(math.inf)} - {_literal(math.inf)})"    # NaN
     return repr(value)
 
 
@@ -112,6 +116,8 @@ def _observed(engine, sql):
         result = engine.execute(sql)
     except Exception as exc:        # the same error, or none, both ways
         return repr(exc)
+    if result.profile is None:      # DML
+        return result.rowcount
     return (repr(result.rows), result.profile.rows_table(),
             result.profile.elapsed_time_us)
 
@@ -450,3 +456,230 @@ if given is not None:
     def test_generated_tables(rows, orientations, num_dns, batch_rows,
                               chunk_rows):
         check(rows, orientations, num_dns, batch_rows, chunk_rows)
+
+
+# -- row tables scanned from column images -------------------------------------
+#
+# A row table's lane scan reads each data node's column image of its last
+# walk, which must be walked again exactly when a write or a resolved
+# transaction changed what the snapshot sees.  Each case runs a sequence —
+# statements, or steps that hold and release another session's write — on
+# the shipped engine and the row reference; the selects must agree with the
+# reference and, with the writes replayed, with sqlite3.
+
+
+def replay(rows, orientations, num_dns, steps, batch_rows=1024,
+           tables=(FACT, DIM)):
+    """Run ``steps`` (SQL text, or ``step(engine, mirror)`` callables that
+    return an observation) on both engines and the sqlite mirror; returns
+    the shipped engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", batch_rows)
+        shipped = _engine(rows, orientations, num_dns, False, tables=tables)
+        with pytest.MonkeyPatch.context() as row_reference:
+            row_reference.setattr(engine_mod, "enable_batches",
+                                  lambda root: None)
+            reference = _engine(rows, orientations, num_dns, True,
+                                tables=tables)
+            expected = [_step(reference, step, None) for step in steps]
+        mirror = _mirror(rows, tables)
+        for step, want in zip(steps, expected):
+            assert _step(shipped, step, mirror) == want, step
+    return shipped
+
+
+def _step(engine, step, mirror):
+    if callable(step):
+        return step(engine, mirror)
+    observed = _observed(engine, step)
+    if mirror is None:
+        return observed
+    if not step.startswith("select"):
+        try:
+            mirror.execute(step)
+        except sqlite3.IntegrityError:      # rolled back both ways
+            assert "Error" in observed
+    elif isinstance(observed, tuple):
+        assert _same_multiset(engine.execute(step).rows,
+                              mirror.execute(step).fetchall()), step
+    return observed
+
+
+SCANS = [
+    "select f.id, d.id, d.tag from f, d where f.k = d.k",
+    "select d.tag, count(*), sum(f.x) from f, d where f.k = d.k "
+    "group by d.tag",
+    "select id, k, tag from d where tag <> 't0' or tag is null",
+]
+
+
+def _images_of(engine, table):
+    return [dn._images.get(table) for dn in engine.cluster.dns]
+
+
+@pytest.mark.parametrize("reference", [True, False])
+def test_only_lane_scans_read_images(reference):
+    """The row bodies walk the heap, so the row reference is independent of
+    the images; the shipped engine's row-table scans read nothing else."""
+    reads = []
+    scan_lanes, scan = DataNode.scan_lanes, DataNode.scan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DataNode, "scan_lanes", lambda *args: (
+            reads.append("image"), scan_lanes(*args))[1])
+        patch.setattr(DataNode, "scan", lambda *args: (
+            reads.append("walk"), scan(*args))[1])
+        if reference:
+            patch.setattr(engine_mod, "enable_batches", lambda root: None)
+        engine = _engine(FIXED, ("row", "row"), 2, reference)
+        del reads[:]                # the load's analyze walks the heaps
+        for sql in SCANS:
+            engine.execute(sql)
+    assert reads and set(reads) == {"walk" if reference else "image"}
+
+
+@pytest.mark.parametrize("num_dns", [1, 2, 4])
+def test_row_table_scanned_again_after_each_kind_of_dml(num_dns):
+    writes = [
+        "insert into d values (20, 3, 3.0, 'new')",
+        "update d set tag = 'upd' where k = 1",
+        # key-assigning: each row moves to its new key's owner
+        "update d set id = id + 100 where id < 3",
+        "delete from d where k = 2",
+        # a rollback: the second row collides, the first is undone
+        "insert into d values (30, 1, 1.0, 'x'), (30, 2, 2.0, 'y')",
+        "update f set k = k + 1 where id < 12",
+        "delete from f where id > 30",
+    ]
+    steps = list(SCANS)
+    for write in writes:
+        steps += [write] + SCANS
+    engine = replay(FIXED, ("row", "row"), num_dns, steps, batch_rows=4)
+    # guard the guard: a repeated scan of unwritten tables reuses the images
+    before = _images_of(engine, "d")
+    engine.execute(SCANS[0])
+    assert _images_of(engine, "d") == before and any(before)
+
+
+def test_row_table_scanned_while_another_session_holds_a_write():
+    def hold(engine, mirror):
+        txn = engine.cluster.session().begin(multi_shard=True)
+        txn.insert("d", {"id": 50, "k": 1, "dk": 1.0, "tag": "held"})
+        txn.update("d", 0, {"tag": "moved"})
+        engine.held = txn
+
+    def release(engine, mirror):
+        engine.held.commit()
+        if mirror is not None:
+            mirror.execute("insert into d values (50, 1, 1.0, 'held')")
+            mirror.execute("update d set tag = 'moved' where id = 0")
+
+    def images(engine, mirror):
+        # what the step before left: the images the next scan may reuse
+        engine.last_images = _images_of(engine, "d")
+
+    def reused(engine, mirror):
+        return _images_of(engine, "d") == engine.last_images
+
+    steps = (SCANS + [hold] + SCANS + [images] + SCANS + [reused]
+             + [release] + SCANS + [images] + SCANS + [reused])
+    for num_dns in (2, 4):
+        engine = replay(FIXED, ("row", "row"), num_dns, steps, batch_rows=4)
+        assert reused(engine, None)
+
+
+#: ``report_cached``'s ``vip`` join: a small row table broadcast to every
+#: fragment of a large column table, filtered on a TEXT column.
+SALES = ("f", "id int primary key, k int, x double, g text, h int")
+CUSTOMERS = ("d", "id int primary key, tag text")
+VIP = {
+    "f": [(i, (i * 7) % 40, (i * 13) % 500 / 4, "ab"[i % 3 == 0], i % 4)
+          for i in range(400)],
+    "d": [(j, "vip" if j % 6 == 0 else ("mass" if j % 7 else None))
+          for j in range(40)],
+}
+VIP_STATEMENTS = [
+    ("select f.k, sum(f.x) total from f, d where f.k = d.id "
+     "and d.tag = 'vip' and f.g = 'b' group by f.k "
+     "order by total desc limit 10", False),
+    ("select f.k, sum(f.x) total from f, d where f.k = d.id "
+     "and d.tag = 'vip' and f.g = 'b' group by f.k", True),
+    ("select d.tag, count(*) from f, d where f.k = d.id and f.h = 1 "
+     "group by d.tag", True),
+    ("select f.k, count(*) from f, d where f.k = d.id "
+     "and d.tag in ('vip', 'none') group by f.k", True),
+]
+
+
+@pytest.mark.parametrize("batch_rows", [3, 1024])
+@pytest.mark.parametrize("num_dns", [2, 4])
+def test_vip_broadcast_join_over_a_row_table(num_dns, batch_rows):
+    """Every fragment's broadcast scan reads every node's image."""
+    tables = (SALES, CUSTOMERS)
+    engine = check(VIP, ("column", "row"), num_dns, batch_rows=batch_rows,
+                   statements=VIP_STATEMENTS, tables=tables)
+    plan = engine.execute("explain " + VIP_STATEMENTS[0][0]).plan_text
+    assert "Exchange broadcast" in plan
+    assert plan.split("Exchange broadcast")[1].split("\n")[1].strip(
+        ).startswith("SeqScan d")
+
+
+@pytest.mark.parametrize("num_dns", [1, 2, 4])
+def test_row_table_text_codes(num_dns):
+    engine = check(CODED, ("row", "row"), num_dns, batch_rows=4,
+                   statements=TEXT_STATEMENTS)
+    # guard the guard: the row table's images carry TEXT as codes
+    images = [image for image in _images_of(engine, "f") if image]
+    assert images and all(image.batch.columns[3].codes is not None
+                          for image in images)
+
+
+# -- one-column join keys ------------------------------------------------------
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("orientations", [("row", "row"), ("row", "column"),
+                                          ("column", "row")])
+@pytest.mark.parametrize("num_dns", [1, 2])
+def test_one_column_join_keys(orientations, num_dns):
+    """NaN keys (stored: never equal), NULL keys, a key on many build rows
+    (their order), doubles beside ints on both sides."""
+    rows = {
+        "f": [(i, [0, 1, None, 2][i % 4], [NAN, 1.0, 2.0, None, 0.0][i % 5],
+               "ab"[i % 2], i % 3) for i in range(30)],
+        "d": [(j, [1, 0, 1, None, 2, 1][j % 6], [2.0, NAN, 0.0, 1.0][j % 4],
+               "pq"[j % 2]) for j in range(14)],
+    }
+    statements = [
+        ("select f.id, d.id from f, d where f.k = d.k", True),
+        ("select f.id, d.id from f, d where f.x = d.dk", True),
+        ("select f.id, d.id from f, d where f.k = d.dk", True),
+        ("select f.id, d.id from f, d where f.x = d.k", True),
+        ("select d.id, count(*) from f, d where f.h = d.k group by d.id",
+         True),
+    ]
+    check(rows, orientations, num_dns, batch_rows=4, statements=statements)
+
+
+BOOLS = ("b", "id int primary key, flag bool, n int")
+
+
+@pytest.mark.parametrize("orientations", [("row", "row"), ("row", "column"),
+                                          ("column", "row")])
+def test_bool_keys_join_ints(orientations):
+    rows = {"f": [(i, i % 3, i / 2, "ab"[i % 2], i % 2) for i in range(12)],
+            "b": [(j, [True, False, None][j % 3], j % 2) for j in range(7)]}
+    statements = [
+        ("select f.id, b.id from f, b where f.k = b.flag", True),
+        ("select f.id, b.id from f, b where b.flag = f.h", True),
+        ("select b.flag, count(*) from f, b where f.h = b.n group by b.flag",
+         True),
+    ]
+    check(rows, orientations, 2, statements=statements, tables=(FACT, BOOLS))
+
+
+@pytest.mark.parametrize("orientations", [("row", "row"), ("column", "row"),
+                                          ("row", "column")])
+def test_empty_build_side_on_either_orientation(orientations):
+    check({"f": FIXED["f"], "d": []}, orientations, 2)
+    check({"f": [], "d": FIXED["d"]}, orientations, 2)

@@ -128,3 +128,179 @@ def test_walk_matches_point_reads_copies_and_projection(
 def test_rows_of_one_column_yields_one_tuples():
     schema = TableSchema("one", [Column("k", DataType.INT)], "k")
     assert list(schema.rows_of([(1, {"k": 1}), (2, {"k": 2})])) == [(1,), (2,)]
+
+
+# -- the column image a lane scan reuses ---------------------------------------
+#
+# ``DataNode.scan_lanes`` serves a row table from the typed batches of its
+# last walk while the heap's mutation count holds and the snapshot decides
+# every xid that walk consulted the same way.  Under random programs —
+# writes that commit, abort, stay prepared or stay open, later resolutions
+# of the pending ones, rollbacks through ``abort_key``, vacuums — and scans
+# under fresh or older snapshots, plain or merged, with or without an open
+# xid's own writes, the image must equal a fresh walk row for row, and be
+# rebuilt exactly when the count or a recorded decision changed.
+
+_write_step = st.tuples(
+    st.just("write"), st.sampled_from(["insert", "update", "delete",
+                                       "reinsert"]),
+    st.sampled_from(KEYS), st.sampled_from(["commit", "abort", "prepare",
+                                            "open"]))
+_resolve_step = st.tuples(st.just("resolve"), st.integers(0, 30),
+                          st.sampled_from(["commit", "abort"]))
+_scan_step = st.tuples(
+    st.just("scan"), st.integers(-1, 30), st.booleans(),
+    st.lists(st.booleans(), max_size=12), st.lists(st.booleans(), max_size=12),
+    st.integers(-1, 30))
+programs = st.lists(st.one_of(_write_step, _resolve_step,
+                              st.tuples(st.just("vacuum")), _scan_step,
+                              _scan_step),
+                    min_size=1, max_size=40)
+
+
+def _image_rows(batches):
+    from repro.exec.batch import rows_from_batches
+
+    return list(rows_from_batches(batches))
+
+
+@given(programs, st.sampled_from([2, 1024]))
+@settings(max_examples=250, deadline=None)
+def test_image_scan_is_a_fresh_walk_and_rebuilds_exactly_when_stale(
+        program, batch_rows):
+    import pytest
+
+    import repro.exec.batch as batch_mod
+    from repro.cluster.datanode import DataNode
+
+    dn = DataNode("dn", 0)
+    dn.create_table(SCHEMA)
+    heap, ltm = dn.heap("t"), dn.ltm
+    clog = ltm.clog
+    pending = []                # (xid, key) still prepared or open
+    snapshots = [ltm.local_snapshot()]
+    committed, prepared = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", batch_rows)
+        for index, step in enumerate(program):
+            if step[0] == "write":
+                _, op, key, end = step
+                xid = ltm.begin()
+                try:
+                    _write(heap, ltm, op, key, xid, index)
+                except (DuplicateKeyError, SerializationConflict,
+                        StorageError):
+                    end = "abort"
+                if end == "abort":
+                    heap.abort_key(key, xid)
+                    ltm.abort(xid)
+                    continue
+                ltm.record_write(xid, "t", key)
+                if end == "commit":
+                    ltm.commit(xid)
+                    committed.append(xid)
+                else:
+                    if end == "prepare":
+                        ltm.prepare(xid)
+                        prepared.append(xid)
+                    pending.append((xid, key))
+            elif step[0] == "resolve":
+                if not pending:
+                    continue
+                xid, key = pending.pop(step[1] % len(pending))
+                if step[2] == "commit":
+                    ltm.commit(xid)
+                    committed.append(xid)
+                else:
+                    heap.abort_key(key, xid)
+                    ltm.abort(xid)
+            elif step[0] == "vacuum":
+                heap.vacuum(ltm.local_snapshot(), clog)
+            else:
+                _, pick, merged, downgrade, upgrade, own = step
+                snapshots.append(ltm.local_snapshot())
+                snapshot = snapshots[pick % len(snapshots)]
+                open_xids = [x for x, _ in pending if x not in prepared]
+                if merged:
+                    snapshot = MergedSnapshot(
+                        snapshot.xmin, snapshot.xmax, snapshot.active,
+                        forced_active=_pick(committed, downgrade),
+                        forced_committed=_pick(
+                            [x for x, _ in pending if x in prepared],
+                            upgrade))
+                own_xid = (open_xids[own % len(open_xids)]
+                           if open_xids and own >= 0 else INVALID_XID)
+                _check_image_scan(dn, heap, snapshot, clog, own_xid,
+                                  batch_rows)
+
+
+def _check_image_scan(dn, heap, snapshot, clog, own_xid, batch_rows):
+    before = dn._images.get("t")
+    stale = before is None or heap.mutations != before.mutations or any(
+        snapshot.xid_visible(x, clog, own_xid) != ok
+        for x, ok in before.decisions.items())
+    fresh_decisions = {}
+    fresh = list(SCHEMA.rows_of(
+        heap.visible(snapshot, clog, own_xid, fresh_decisions)))
+    n_scan, n_rows = dn._n_scan, dn._n_rows
+
+    batches = list(dn.scan_lanes("t", snapshot, own_xid))
+
+    assert _image_rows(batches) == fresh
+    assert dn._n_scan == n_scan + 1 and dn._n_rows == n_rows + len(fresh)
+    assert [b.n for b in batches] == [
+        min(batch_rows, len(fresh) - start)
+        for start in range(0, len(fresh), batch_rows)]
+    image = dn._images["t"]
+    assert (image is not before) == stale
+    # a served image is exact: the fresh walk consulted the same xids, in
+    # the same order, and decided them the same way
+    assert list(image.decisions.items()) == list(fresh_decisions.items())
+    for batch in batches:           # shared by every scan it serves
+        for vec in batch.columns:
+            assert not vec.validity.flags.writeable
+            assert not (vec.codes if vec.codes is not None
+                        else vec.data).flags.writeable
+
+
+def test_image_is_reused_until_a_write_or_a_resolution_changes_a_decision():
+    from repro.cluster.datanode import DataNode
+
+    dn = DataNode("dn", 0)
+    dn.create_table(SCHEMA)
+    heap, ltm = dn.heap("t"), dn.ltm
+
+    def scan(xid=INVALID_XID):
+        rows = _image_rows(dn.scan_lanes("t", ltm.local_snapshot(), xid))
+        return rows, dn._images["t"]
+
+    loader = ltm.begin()
+    for key in KEYS:
+        _write(heap, ltm, "insert", key, loader, key)
+    ltm.commit(loader)
+    rows, image = scan()
+    assert [row[0] for row in rows] == list(KEYS)
+    assert scan() == (rows, image)                  # unwritten: reused
+
+    writer = ltm.begin()                            # an uncommitted update
+    _write(heap, ltm, "update", 1, writer, 10)
+    rows_before, rebuilt = scan()
+    assert rebuilt is not image and rows_before == rows
+    assert scan()[1] is rebuilt                     # still in progress
+    own_rows, own = scan(writer)                    # the writer sees its own
+    assert own is not rebuilt and own_rows[1] == (1, 10, None)
+
+    ltm.prepare(writer)
+    ltm.commit(writer)
+    # a plain reader now decides every xid as the writer did: reused
+    assert scan() == (own_rows, own)
+
+    second = ltm.begin()
+    _write(heap, ltm, "update", 2, second, 20)
+    ltm.prepare(second)
+    before_commit, hidden = scan()
+    assert hidden is not own and before_commit[2] == (2, 2, None)
+    ltm.commit(second)                              # no write, new decision
+    after, resolved = scan()
+    assert resolved is not hidden and after[2] == (2, 20, None)
+    assert scan()[1] is resolved
