@@ -273,7 +273,10 @@ def _arithmetic(op: str):
         if (a.dtype.kind == "i" and b.dtype.kind == "i"
                 and _int64_differs(op, fn, a, b)):
             a, b = a.astype(object), b.astype(object)
-        return fn(a, b)
+        # inf - inf and the like are NaN, as the row interpreter's floats
+        # give them: no warning (a zero divisor is never compiled)
+        with np.errstate(invalid="ignore"):
+            return fn(a, b)
 
     return kernel
 
@@ -1087,7 +1090,7 @@ def hash_join_batches(join) -> Iterator[Batch]:
     left_fns, right_fns = join._batch_keys
     right = join.right
     width = len(right.schema)
-    mem, entry_bytes = _op_memory(join, right.schema)
+    mem, entry_bytes = _op_memory(join, right)
     try:
         kept = []
         if right.batch_mode:

@@ -11,6 +11,7 @@ logical operator (join instead of hash join ...) is needed" (Sec. II-C).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -61,12 +62,12 @@ class PhysicalOp:
     def execute(self) -> Iterator[tuple]:
         raise NotImplementedError
 
-    def reset_counters(self) -> None:
+    def reset_own_counters(self) -> None:
+        """Zero this operator's counters (:meth:`PlanOutline.reset_counters`
+        zeroes a whole plan's)."""
         self.actual_rows = 0
         self.spilled_bytes = 0
         self.spill_time_us = 0.0
-        for child in self.children():
-            child.reset_counters()
 
     def _count(self, rows: Iterator[tuple]) -> Iterator[tuple]:
         if self.profiler is not None:
@@ -127,35 +128,41 @@ class PhysicalOp:
     def name(self) -> str:
         return type(self).__name__[1:]  # strip the single 'P' prefix
 
-    def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        line = (f"{pad}{self.describe()}  "
-                f"(est={self.estimated_rows:.0f}, actual={self.actual_rows})")
-        return "\n".join([line] + [c.pretty(indent + 1) for c in self.children()])
+    def pretty(self) -> str:
+        return PlanOutline(self).pretty()
 
     def describe(self) -> str:
         return self.name()
 
+    @cached_property
+    def description(self) -> str:
+        """:meth:`describe`, rendered once: nothing it reads changes after
+        planning, and a cached plan re-runs as it is."""
+        return self.describe()
 
-def _entry_bytes(schema: Schema) -> int:
-    """Estimated in-memory footprint of one buffered row / hash entry."""
-    from repro.net.costing import row_width_bytes
-    from repro.wlm.memory import ENTRY_OVERHEAD_BYTES
+    @cached_property
+    def row_width(self) -> int:
+        """Estimated serialized width of one output row (from the schema,
+        so computed once)."""
+        from repro.net.costing import row_width_bytes
 
-    return (row_width_bytes(getattr(c, "data_type", None) for c in schema)
-            + ENTRY_OVERHEAD_BYTES)
+        return row_width_bytes(getattr(c, "data_type", None)
+                               for c in self.schema)
 
 
-def _op_memory(op: PhysicalOp, schema: Optional[Schema] = None):
+def _op_memory(op: PhysicalOp, resident: Optional[PhysicalOp] = None):
     """(tracker, per-entry bytes) when the query is governed, else (None, 0).
 
-    Entries are sized by the operator's output schema unless ``schema``
-    names what actually resides in memory (a hash join's build side).
+    Entries are sized by the operator's output rows unless ``resident``
+    names the operator whose rows reside in memory (a hash join's build
+    side).
     """
     if op.wlm_ctx is None:
         return None, 0
+    from repro.wlm.memory import ENTRY_OVERHEAD_BYTES
+
     return (op.wlm_ctx.memory_for(op),
-            _entry_bytes(op.schema if schema is None else schema))
+            (resident or op).row_width + ENTRY_OVERHEAD_BYTES)
 
 
 class PScan(PhysicalOp):
@@ -208,8 +215,8 @@ class PScan(PhysicalOp):
         #: volume that crossed the network for a remote scan.
         self.scanned_rows = 0
 
-    def reset_counters(self) -> None:
-        super().reset_counters()
+    def reset_own_counters(self) -> None:
+        super().reset_own_counters()
         self.scanned_rows = 0
 
     def _drain(self) -> Iterator[tuple]:
@@ -301,18 +308,16 @@ class PScan(PhysicalOp):
         """
         if not self.remote_sources:
             return None
-        from repro.net.costing import exchange_cost_us, row_width_bytes
+        from repro.net.costing import exchange_cost_us
         from repro.net.latency import DEFAULT_PROFILE
         from repro.obs.profiler import (BATCH_COST_US, DEFAULT_ROW_COST_US,
                                         OPEN_COST_US)
 
         model = self.cost_model if self.cost_model is not None else DEFAULT_PROFILE.mpp
-        width = row_width_bytes(getattr(c, "data_type", None)
-                                for c in self.schema)
         cpu = (OPEN_COST_US + BATCH_COST_US * batches
                + DEFAULT_ROW_COST_US[self.name()]
                * (self.scanned_rows + rows_out))
-        return cpu + exchange_cost_us(model, self.scanned_rows, width,
+        return cpu + exchange_cost_us(model, self.scanned_rows, self.row_width,
                                       edges=self.remote_sources,
                                       hop_us=self.hop_us)
 
@@ -484,7 +489,7 @@ class PHashJoin(PhysicalOp):
             yield key, row
 
     def _join(self) -> Iterator[tuple]:
-        mem, entry_bytes = _op_memory(self, self.right.schema)
+        mem, entry_bytes = _op_memory(self, self.right)
         try:
             table: Dict[tuple, List[tuple]] = {}
             for key, row in self._build_rows(mem, entry_bytes):
@@ -927,13 +932,11 @@ class PExchange(PhysicalOp):
     def sim_self_time_us(self, rows_in: int, rows_out: int,
                          batches: int) -> float:
         """Network cost hook for the profiler (replaces per-row CPU cost)."""
-        from repro.net.costing import exchange_cost_us, row_width_bytes
+        from repro.net.costing import exchange_cost_us
         from repro.net.latency import DEFAULT_PROFILE
 
         model = self.cost_model if self.cost_model is not None else DEFAULT_PROFILE.mpp
-        width = row_width_bytes(getattr(c, "data_type", None)
-                                for c in self.schema)
-        return exchange_cost_us(model, rows_out, width,
+        return exchange_cost_us(model, rows_out, self.row_width,
                                 edges=len(self._children),
                                 hop_us=self.hop_us)
 
@@ -1060,3 +1063,58 @@ def walk_physical(op: PhysicalOp):
     yield op
     for child in op.children():
         yield from walk_physical(child)
+
+
+class PlanOutline:
+    """A physical plan flattened once, in :func:`walk_physical`'s pre-order.
+
+    A plan does not change after planning, and a cached plan re-runs as it
+    is, so what every statement would otherwise re-derive by walking the
+    tree is kept here: each operator's parent, depth and fragment (the
+    ``(group, dn)`` key of the plan fragment it runs in, None on the
+    coordinator), and whether the plan runs on a single site.
+    """
+
+    __slots__ = ("root", "ops", "parents", "depths", "fragments",
+                 "single_site")
+
+    def __init__(self, root: PhysicalOp):
+        self.root = root
+        self.ops: List[PhysicalOp] = []
+        self.parents: List[Optional[PhysicalOp]] = []
+        self.depths: List[int] = []
+        self.fragments: List[Optional[Tuple[int, int]]] = []
+        stack = [(root, None, 0, None)]
+        while stack:
+            op, parent, depth, fragment = stack.pop()
+            fragment = getattr(op, "fragment_key", None) or fragment
+            self.ops.append(op)
+            self.parents.append(parent)
+            self.depths.append(depth)
+            self.fragments.append(fragment)
+            stack.extend((child, op, depth + 1, fragment)
+                         for child in reversed(op.children()))
+        self.single_site = self._single_site()
+
+    def _single_site(self) -> bool:
+        """True when every leaf is a key lookup on one and the same data
+        node (constant ``VALUES`` leaves touch no node)."""
+        sites = set()
+        for op in self.ops:
+            if op.children() or isinstance(op, PValues):
+                continue
+            if not isinstance(op, PKeyLookup) or op.dn_index is None:
+                return False
+            sites.add(op.dn_index)
+        return len(sites) == 1
+
+    def reset_counters(self) -> None:
+        for op in self.ops:
+            op.reset_own_counters()
+
+    def pretty(self) -> str:
+        """The indented plan with each operator's estimate and actual rows."""
+        return "\n".join(
+            f"{'  ' * depth}{op.description}  "
+            f"(est={op.estimated_rows:.0f}, actual={op.actual_rows})"
+            for op, depth in zip(self.ops, self.depths))

@@ -16,7 +16,6 @@ assert on ``EXPLAIN ANALYZE`` output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -24,7 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an exec -> optimizer cycle
-    from repro.exec.operators import PhysicalOp
+    from repro.exec.operators import PhysicalOp, PlanOutline
 
 #: Simulated per-row execution cost (microseconds) by operator name.
 DEFAULT_ROW_COST_US: Dict[str, float] = {
@@ -255,21 +254,15 @@ class QueryProfiler:
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, root: "PhysicalOp") -> None:
-        """Register every operator in the tree and hook its row stream."""
-        self._walk(root, parent=None, depth=0)
-
-    def _walk(self, op: "PhysicalOp", parent: Optional["PhysicalOp"], depth: int,
-              fragment: Optional[Tuple[int, int]] = None) -> None:
-        key = getattr(op, "fragment_key", None)
-        if key is not None:
-            fragment = key
-        entry = _Entry(op, parent, depth, fragment)
-        self._entries[id(op)] = entry
-        self._order.append(entry)
-        op.profiler = self
-        for child in op.children():
-            self._walk(child, op, depth + 1, fragment)
+    def attach(self, outline: "PlanOutline") -> None:
+        """Register every operator of the plan and hook its row stream."""
+        for op, parent, depth, fragment in zip(
+                outline.ops, outline.parents, outline.depths,
+                outline.fragments):
+            entry = _Entry(op, parent, depth, fragment)
+            self._entries[id(op)] = entry
+            self._order.append(entry)
+            op.profiler = self
 
     # -- execution hooks (called from PhysicalOp._count) -------------------
 
@@ -310,12 +303,12 @@ class QueryProfiler:
                 entry.span = self.tracer.start_span(
                     f"op.{entry.op.name()}",
                     parent_ctx=parent_span.context(), node=node,
-                    operator=entry.op.describe(),
+                    operator=entry.op.description,
                 )
             else:
                 entry.span = self.tracer.start_span(
                     f"op.{entry.op.name()}", parent=parent_span, node=node,
-                    operator=entry.op.describe(),
+                    operator=entry.op.description,
                 )
 
     def _close(self, entry: _Entry) -> None:
@@ -332,47 +325,49 @@ class QueryProfiler:
     # -- cost model --------------------------------------------------------
 
     def _self_time_us(self, entry: _Entry) -> float:
-        rows_out = entry.op.actual_rows
-        rows_in = sum(c.actual_rows for c in entry.op.children())
+        op = entry.op
+        rows_out = op.actual_rows
+        rows_in = 0
+        for child in op.children():
+            rows_in += child.actual_rows
         batches = self._batches(rows_out)
         # Spill I/O is real per-operator time regardless of the CPU formula.
-        spill_us = float(getattr(entry.op, "spill_time_us", 0.0))
-        custom = getattr(entry.op, "sim_self_time_us", None)
+        spill_us = float(op.spill_time_us)
+        custom = getattr(op, "sim_self_time_us", None)
         if custom is not None:
             # Operators with a physical cost of their own (exchanges charge
             # the network model) override the generic CPU formula.
             time_us = custom(rows_in, rows_out, batches)
             if time_us is not None:
                 return float(time_us) + spill_us
-        per_row = self.row_costs.get(entry.op.name(),
-                                     DEFAULT_ROW_COST_FALLBACK_US)
+        per_row = self.row_costs.get(op.name(), DEFAULT_ROW_COST_FALLBACK_US)
         return (OPEN_COST_US + BATCH_COST_US * batches
                 + per_row * (rows_in + rows_out) + spill_us)
 
     def _batches(self, rows: int) -> int:
-        return max(1, math.ceil(rows / self.batch_rows)) if rows else 0
+        return -(-rows // self.batch_rows)
 
     # -- assembly ----------------------------------------------------------
 
     def profile(self) -> QueryProfile:
         """Build the profile; closes any spans a short-circuiting parent
         (e.g. ``Limit``) left open."""
+        operators = []
         for entry in self._order:
             self._close(entry)
-        profile = QueryProfile(operators=[
-            OperatorProfile(
-                operator=entry.op.describe(),
+            op = entry.op
+            operators.append(OperatorProfile(
+                operator=op.description,
                 depth=entry.depth,
-                est_rows=entry.op.estimated_rows,
-                rows=entry.op.actual_rows,
-                batches=self._batches(entry.op.actual_rows),
+                est_rows=op.estimated_rows,
+                rows=op.actual_rows,
+                batches=self._batches(op.actual_rows),
                 time_us=self._self_time_us(entry),
                 fragment=entry.fragment,
-                net_rows=int(getattr(entry.op, "network_rows", 0)),
-                spilled_bytes=int(getattr(entry.op, "spilled_bytes", 0)),
-            )
-            for entry in self._order
-        ])
+                net_rows=int(getattr(op, "network_rows", 0)),
+                spilled_bytes=int(op.spilled_bytes),
+            ))
+        profile = QueryProfile(operators=operators)
         if self.metrics is not None:
             self.metrics.counter("exec.rows").inc(profile.output_rows)
             self.metrics.counter("exec.operator_rows").inc(profile.total_rows)

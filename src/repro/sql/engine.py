@@ -30,8 +30,7 @@ from repro.common.errors import (
 )
 from repro.exec.batch import enable_batches
 from repro.exec.fragments import ScanBinding
-from repro.exec.operators import (PhysicalOp, PKeyLookup, PValues,
-                                  walk_physical)
+from repro.exec.operators import PhysicalOp, PlanOutline
 from repro.learnopt.feedback import CaptureReport, CaptureSettings, FeedbackLoop
 from repro.obs import Observability, QueryProfile, QueryProfiler
 from repro.obs.syscat import SystemCatalog
@@ -541,28 +540,29 @@ class SqlEngine:
             root_span=query_span,
             node=cn_node,
         )
-        txn = physical = None
+        txn = outline = None
         try:
             if cached is not None:
-                physical = cached.physical
+                outline = cached.outline
                 columns = cached.columns
-                physical.reset_counters()
+                outline.reset_counters()
             else:
                 logical = self._binder().bind_select(stmt)
                 physical = self._planner(None).plan(logical)
                 columns = [c.name for c in logical.schema]
                 # Batch or row body per operator: see enable_batches.
                 enable_batches(physical)
-            profiler.attach(physical)
+                outline = PlanOutline(physical)
+            profiler.attach(outline)
             if self._wlm_ctx is not None:
-                attach_to_plan(self._wlm_ctx, physical)
+                attach_to_plan(self._wlm_ctx, outline)
             # The plan picks the transaction: one data node, one shard.  No
             # promotion re-run as for DML: reads pinned to one node never
             # leave it, and read no double-write window.
-            txn = session.begin(multi_shard=not _single_site(physical))
+            txn = session.begin(multi_shard=not outline.single_site)
             self._active_txn = txn
             try:
-                rows = list(physical.execute())
+                rows = list(outline.root.execute())
             finally:
                 self._active_txn = None
             txn.commit()
@@ -575,8 +575,8 @@ class SqlEngine:
                 tracer.end_span(query_span)
             raise
         finally:
-            if physical is not None:
-                _detach(physical)
+            if outline is not None:
+                _detach(outline)
             if query_span is not None:
                 tracer.deactivate(query_span)
         profile = profiler.profile()
@@ -585,27 +585,24 @@ class SqlEngine:
         if self.obs is not None:
             # Latency is the wall-clock view: concurrent fragments count
             # once (their max), unlike total_time_us which sums all work.
-            self.obs.metrics.histogram("query.latency_us").observe(
-                profile.elapsed_time_us)
+            elapsed_us = profile.elapsed_time_us
+            self.obs.metrics.histogram("query.latency_us").observe(elapsed_us)
             self.obs.metrics.counter("query.executed").inc()
             query_span.set_attribute("rows", profile.output_rows)
-            query_span.set_attribute("time_us", profile.elapsed_time_us)
+            query_span.set_attribute("time_us", elapsed_us)
             self.obs.tracer.end_span(
-                query_span,
-                end_us=query_span.start_us + profile.elapsed_time_us)
+                query_span, end_us=query_span.start_us + elapsed_us)
             self.obs.slowlog.note(self._current_sql, query_span.start_us,
                                   profile, queue_us=profile.queue_time_us,
                                   trace_id=query_span.trace_id)
         capture = None
         if self.learning_enabled:
-            capture = self.feedback.capture(physical)
+            capture = self.feedback.capture(outline.root)
         if cache_key is not None and cached is None:
-            step_texts = [op.step_text for op in walk_physical(physical)
-                          if op.step_text is not None]
             self.plan_cache.put(cache_key, CachedPlan(
-                stmt, physical, columns,
+                stmt, outline, columns,
                 self.cluster.catalog.version, self.stats.version,
-                self.cluster.catalog.shard_map_version, step_texts))
+                self.cluster.catalog.shard_map_version))
         if capture is not None and capture.captured:
             # The capture changed the feedback store: any cached plan built
             # from those estimates (including the one just stored) must
@@ -616,7 +613,7 @@ class SqlEngine:
             columns=columns,
             rows=rows,
             rowcount=len(rows),
-            plan_text=physical.pretty(),
+            plan_text=outline.pretty(),
             capture=capture,
             profile=profile,
         )
@@ -666,25 +663,12 @@ class SqlEngine:
         )
 
 
-def _detach(physical: PhysicalOp) -> None:
+def _detach(outline: PlanOutline) -> None:
     """Unhook the statement's profiler and WLM context from the plan.
 
     Both refer back to the operators (profiler entries, per-operator
     memory trackers), so a plan still holding them is a reference cycle
     that outlives the statement until the cycle collector finds it."""
-    for op in walk_physical(physical):
+    for op in outline.ops:
         op.profiler = None
         op.wlm_ctx = None
-
-
-def _single_site(physical: PhysicalOp) -> bool:
-    """True when every leaf of the plan is a key lookup on one and the same
-    data node (constant ``VALUES`` leaves touch no node)."""
-    sites = set()
-    for op in walk_physical(physical):
-        if op.children() or isinstance(op, PValues):
-            continue
-        if not isinstance(op, PKeyLookup) or op.dn_index is None:
-            return False
-        sites.add(op.dn_index)
-    return len(sites) == 1

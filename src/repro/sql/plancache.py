@@ -38,19 +38,23 @@ from repro.learnopt.store import step_key
 class CachedPlan:
     """One reusable prepared statement."""
 
-    __slots__ = ("statement", "physical", "columns", "catalog_version",
+    __slots__ = ("statement", "outline", "columns", "catalog_version",
                  "stats_version", "shard_map_version", "step_keys")
 
-    def __init__(self, statement, physical, columns: List[str],
+    def __init__(self, statement, outline, columns: List[str],
                  catalog_version: int, stats_version: int,
-                 shard_map_version: int, step_texts: Iterable[str]):
+                 shard_map_version: int):
         self.statement = statement
-        self.physical = physical
+        #: The physical plan as a :class:`repro.exec.operators.PlanOutline`
+        #: (its ``root``), flattened once for every re-run.
+        self.outline = outline
         self.columns = columns
         self.catalog_version = catalog_version
         self.stats_version = stats_version
         self.shard_map_version = shard_map_version
-        self.step_keys = frozenset(step_key(text) for text in step_texts)
+        self.step_keys = frozenset(step_key(op.step_text)
+                                   for op in outline.ops
+                                   if op.step_text is not None)
 
 
 class PlanCache:

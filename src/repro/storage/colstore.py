@@ -88,44 +88,122 @@ class ColumnVector:
     gathered only when first read, so masks and gathers move the narrow
     codes alone and a kernel can decide a predicate or a group once per
     dictionary entry.
+
+    :meth:`take` makes a *view*: its source vector and the lanes it
+    selects.  ``validity``, ``codes`` and ``data`` are each gathered from
+    the source on first read and kept (a TEXT view gathers codes and
+    decodes ``data`` from them), so a column that no consumer reads is
+    never gathered.  An array gathered from a read-only one is read-only.
     """
 
-    __slots__ = ("_data", "validity", "codes", "dictionary")
+    __slots__ = ("_data", "_validity", "_codes", "dictionary", "_source",
+                 "_lanes")
 
-    def __init__(self, data: Optional[np.ndarray], validity: np.ndarray,
+    def __init__(self, data: Optional[np.ndarray],
+                 validity: Optional[np.ndarray],
                  codes: Optional[np.ndarray] = None,
                  dictionary: Optional[np.ndarray] = None):
         self._data = data
-        self.validity = validity
-        self.codes = codes
+        self._validity = validity
+        self._codes = codes
         self.dictionary = dictionary
+        self._source: Optional[ColumnVector] = None
+        self._lanes: Optional[np.ndarray] = None
+
+    @property
+    def validity(self) -> np.ndarray:
+        if self._validity is None:
+            self._validity = self._gather(self._source.validity)
+        return self._validity
+
+    @property
+    def codes(self) -> Optional[np.ndarray]:
+        if self._codes is None and self.dictionary is not None:
+            self._codes = self._gather(self._source.codes)
+        return self._codes
 
     @property
     def data(self) -> np.ndarray:
         if self._data is None:
-            data = self.dictionary[self.codes]
-            # a decoded chunk's vector is shared by every scan: read-only
-            data.flags.writeable = self.codes.flags.writeable
-            self._data = data
+            if self.dictionary is None:
+                self._data = self._gather(self._source.data)
+            else:
+                codes = self.codes
+                data = self.dictionary[codes]
+                # a decoded chunk's vector is shared by every scan: read-only
+                data.flags.writeable = codes.flags.writeable
+                self._data = data
         return self._data
 
+    def _gather(self, array: np.ndarray) -> np.ndarray:
+        out = array[self._lanes]
+        if not array.flags.writeable:
+            out.flags.writeable = False
+        return out
+
     def __len__(self) -> int:
-        return len(self.validity)
+        if self._validity is not None:
+            return len(self._validity)
+        lanes = self._lanes
+        if lanes.dtype == np.bool_:
+            return int(np.count_nonzero(lanes))
+        return len(lanes)
 
     def read_only(self) -> "ColumnVector":
         """This vector with its arrays marked non-writeable, for one shared
         by every scan (a decoded chunk, a row table's column image)."""
-        for array in (self._data, self.validity, self.codes, self.dictionary):
+        data = self._data if self.dictionary is not None else self.data
+        for array in (data, self.validity, self.codes, self.dictionary):
             if array is not None:
                 array.flags.writeable = False
         return self
 
     def take(self, lanes) -> "ColumnVector":
-        """The lanes at ``lanes`` (indices or a boolean mask), codes kept."""
-        if self.codes is None:
-            return ColumnVector(self._data[lanes], self.validity[lanes])
-        return ColumnVector(None, self.validity[lanes], self.codes[lanes],
-                            self.dictionary)
+        """The lanes at ``lanes`` (indices, a boolean mask or a slice),
+        codes kept.
+
+        A slice of a gathered vector slices its arrays at once (numpy
+        views, no copy).  Anything else is a view that gathers on first
+        read; a take of a view composes the lanes and reads the view's
+        source, so no intermediate is gathered.  An index or mask array
+        is marked read-only: a view keeps it.
+        """
+        source = self._source
+        if source is None and isinstance(lanes, slice):
+            return ColumnVector(
+                None if self._data is None else self._data[lanes],
+                self._validity[lanes],
+                None if self._codes is None else self._codes[lanes],
+                self.dictionary)
+        if isinstance(lanes, np.ndarray):
+            lanes.flags.writeable = False
+        if source is None:
+            source = self
+        else:
+            lanes = _compose(self._lanes, lanes)
+        view = ColumnVector(None, None, None, self.dictionary)
+        view._source = source
+        view._lanes = lanes
+        return view
+
+
+#: The last composition :func:`_compose` made.  The columns of a batch of
+#: views share their lanes and are taken with the same lanes, so a take of
+#: the batch composes once rather than once per column.
+_last_composed: tuple = (None, None, None)
+
+
+def _compose(outer: np.ndarray, inner) -> np.ndarray:
+    """The source lanes of the ``inner`` lanes of a view on ``outer``."""
+    global _last_composed
+    last_outer, last_inner, composed = _last_composed
+    if outer is last_outer and inner is last_inner:
+        return composed
+    indices = np.flatnonzero(outer) if outer.dtype == np.bool_ else outer
+    composed = indices[inner]
+    composed.flags.writeable = False
+    _last_composed = (outer, inner, composed)
+    return composed
 
 
 def text_vector(dictionary: Sequence[Optional[str]],

@@ -2,8 +2,9 @@
 
 Each data node owns a :class:`LocalTransactionManager`: a local XID space,
 a status log, the set of in-flight local transactions, the **local commit
-order (LCO)** that Algorithm 1 traverses, and the **xidMap** from global
-XIDs to local XIDs for multi-shard transactions.
+order (LCO)** of the transactions that wrote here, which Algorithm 1
+traverses, and the **xidMap** from global XIDs to local XIDs for
+multi-shard transactions.
 """
 
 from __future__ import annotations
@@ -79,12 +80,20 @@ class LocalTransactionManager:
         self.clog.set(xid, TxnStatus.PREPARED)
 
     def commit(self, xid: int) -> None:
-        """Local commit: flip the clog bit and append to the LCO."""
+        """Local commit: flip the clog bit and, if the transaction wrote
+        here, append it to the LCO.
+
+        A commit that wrote nothing leaves no entry, and no merged
+        snapshot hides a version differently for it: re-hiding it would
+        hide no version, its empty write set cannot taint a later entry,
+        and without it ``prune_lco`` only advances further.
+        """
         self.clog.set(xid, TxnStatus.COMMITTED)
         write_set = self._active.pop(xid)
-        gxid = self._gxid_of.get(xid)
-        self.lco.append(LcoEntry(xid, gxid, write_set, self._commit_seq))
-        self._commit_seq += 1
+        if write_set:
+            self.lco.append(LcoEntry(xid, self._gxid_of.get(xid), write_set,
+                                     self._commit_seq))
+            self._commit_seq += 1
 
     def abort(self, xid: int) -> None:
         self.clog.set(xid, TxnStatus.ABORTED)

@@ -530,18 +530,14 @@ class WlmQueryContext:
         op.spill_time_us = getattr(op, "spill_time_us", 0.0) + spill_us
 
 
-def attach_to_plan(ctx: WlmQueryContext, op: object,
-                   dn: Optional[int] = None) -> None:
-    """Thread a query context through a physical plan.
+def attach_to_plan(ctx: WlmQueryContext, outline) -> None:
+    """Thread a query context through a physical plan (its
+    :class:`repro.exec.operators.PlanOutline`).
 
     Sets ``wlm_ctx`` on every operator (enabling checkpoints and memory
     accounting) and ``_wlm_dn`` to the data node an operator's fragment
     runs on, so spill is charged against the right node.
     """
-    key = getattr(op, "fragment_key", None)
-    if key is not None:
-        dn = key[1]
-    op.wlm_ctx = ctx
-    op._wlm_dn = dn
-    for child in op.children():
-        attach_to_plan(ctx, child, dn)
+    for op, fragment in zip(outline.ops, outline.fragments):
+        op.wlm_ctx = ctx
+        op._wlm_dn = None if fragment is None else fragment[1]

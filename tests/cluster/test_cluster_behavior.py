@@ -210,6 +210,38 @@ class TestMaintenance:
         assert cluster.gtm.snapshot_horizon() > horizon_with_reader
 
 
+class TestReadOnlyCommit:
+    """A commit that wrote nothing leaves the local commit order alone,
+    global or local, from the ``Transaction`` API or from SQL."""
+
+    def test_readers_leave_no_lco_entry(self):
+        from repro.sql.engine import SqlEngine
+
+        cluster = make_cluster()
+        session = cluster.session()
+        seed = session.begin(multi_shard=True)
+        for k in range(6):
+            seed.insert("t", {"k": k, "v": k})
+        seed.commit()
+        before = [len(dn.ltm.lco) for dn in cluster.dns]
+        reader = session.begin(multi_shard=True)
+        assert len(list(reader.scan("t"))) == 6
+        reader.commit()
+        local = session.begin(multi_shard=False)
+        assert local.read("t", 0) is not None
+        local.commit()
+        engine = SqlEngine(cluster)
+        for _ in range(2):   # a fresh plan, then the cached one
+            assert engine.execute("select count(*) from t").scalar() == 6
+            assert engine.execute("select v from t where k = 3").rows == [(3,)]
+        assert [len(dn.ltm.lco) for dn in cluster.dns] == before
+        # a writer still joins the LCO, on the node it wrote
+        engine.execute("update t set v = 9 where k = 3")
+        grew = [len(dn.ltm.lco) - n for dn, n in zip(cluster.dns, before)]
+        assert sorted(grew) == [0, 0, 1]
+        assert grew[shard_of_value(3, 3)] == 1
+
+
 class TestAbortClassification:
     """``txn.abort.*`` stats derive from what was actually written, mirroring
     how the commit side classifies — a global transaction that wrote one

@@ -8,6 +8,10 @@ first re-hidden entry nothing is tainted, so the write-set test cannot be
 true and is not run.  Here the merged snapshot (``forced_active`` and the
 merged ``xmin``) is compared with the walk that tests every entry, on LCOs
 where taint starts mid-walk.
+
+A commit that wrote nothing leaves no LCO entry.  The last search puts such
+entries back into random histories and checks that no written version's
+visibility under the merged snapshot depends on them.
 """
 
 import pytest
@@ -16,6 +20,7 @@ from repro.core.gtm import GlobalTransactionManager
 from repro.core.merge import merge_snapshots
 from repro.txn.manager import LcoEntry, LocalTransactionManager
 from repro.txn.snapshot import Snapshot
+from repro.txn.status import StatusLog, TxnStatus
 from repro.txn.writeset import WriteSet
 
 try:
@@ -98,3 +103,42 @@ if given is not None:
         lco = _lco(entries)
         assert _merged(global_snapshot, lco) == _unshortened(global_snapshot,
                                                              lco)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(
+               st.tuples(st.one_of(st.none(), st.integers(1, 12)),
+                         st.sets(st.sampled_from("abcdef"), max_size=3)),
+               max_size=25),
+           readers=st.lists(st.tuples(st.integers(0, 25),
+                                      st.one_of(st.none(),
+                                                st.integers(1, 12))),
+                            max_size=10),
+           running=st.sets(st.integers(1, 12), max_size=4),
+           xmax=st.integers(1, 14))
+    def test_read_only_commits_change_no_visibility(entries, readers,
+                                                    running, xmax):
+        # ``readers``: (position in the history, gxid or None) of commits
+        # with an empty write set, as they would sit in the LCO if they
+        # left an entry
+        global_snapshot = Snapshot(
+            xmin=1, xmax=xmax,
+            active=frozenset(x for x in running if x < xmax))
+        history = [(gxid, keys) for gxid, keys in entries if keys]
+        for position, gxid in sorted(readers, key=lambda r: r[0]):
+            history.insert(min(position, len(history)), (gxid, ""))
+        with_readers = _lco(history)
+        writers = [entry for entry in with_readers if entry.write_set]
+        clog = StatusLog()
+        for entry in with_readers:
+            clog.begin(entry.local_xid)
+            clog.set(entry.local_xid, TxnStatus.COMMITTED)
+
+        def visible(lco):
+            ltm = LocalTransactionManager("dn0")
+            ltm.lco.extend(lco)
+            merged = merge_snapshots(global_snapshot, LOCAL, ltm,
+                                     GlobalTransactionManager()).snapshot
+            return [merged.xid_visible(entry.local_xid, clog)
+                    for entry in writers]
+
+        assert visible(with_readers) == visible(writers)

@@ -683,3 +683,30 @@ def test_bool_keys_join_ints(orientations):
 def test_empty_build_side_on_either_orientation(orientations):
     check({"f": FIXED["f"], "d": []}, orientations, 2)
     check({"f": [], "d": FIXED["d"]}, orientations, 2)
+
+
+# -- lanes gathered only when read ---------------------------------------------
+#
+# A filter or a join hands its parent views over its input's vectors; a
+# view gathers a column only when something reads it.  Here the join's
+# probe side carries columns nothing above it reads (and the build side's
+# own) through a redistribute exchange, under small batches so the views
+# cross batch boundaries.
+
+UNREAD_STATEMENTS = [
+    ("select f.g, count(*) from f, d where f.k = d.k group by f.g", True),
+    ("select d.tag, count(*), sum(f.x) from f, d "
+     "where f.h = d.k and f.x > 1 group by d.tag", True),
+    ("select d.tag from f, d where f.h = d.k and d.dk > 0", True),
+]
+
+
+@pytest.mark.parametrize("orientations", [("row", "row"), ("column", "row"),
+                                          ("row", "column")])
+@pytest.mark.parametrize("num_dns", [2, 4])
+def test_unread_probe_columns_cross_a_redistribute(orientations, num_dns):
+    engine = check(FIXED, orientations, num_dns, batch_rows=3,
+                   statements=UNREAD_STATEMENTS)
+    for sql, _ in UNREAD_STATEMENTS:
+        plan = engine.execute("explain " + sql).plan_text
+        assert "Exchange redistribute" in plan, plan

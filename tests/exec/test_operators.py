@@ -14,6 +14,7 @@ from repro.exec.operators import (
     PProject,
     PSort,
     PValues,
+    PlanOutline,
 )
 from repro.optimizer.expr import BoundBinary, BoundColumn, BoundConst
 from repro.optimizer.logical import AggSpec, ColumnInfo
@@ -48,7 +49,7 @@ class TestScanFilterProject:
     def test_reset_counters(self):
         op = PFilter(values([(1,)], "a"), BoundConst(True))
         list(op.execute())
-        op.reset_counters()
+        PlanOutline(op).reset_counters()
         assert op.actual_rows == 0
         assert op.children()[0].actual_rows == 0
 

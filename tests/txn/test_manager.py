@@ -128,8 +128,10 @@ class TestLocalTransactionManager:
 
     def test_truncate_lco_keeps_newest(self):
         ltm = LocalTransactionManager("dn0")
-        for _ in range(10):
-            ltm.commit(ltm.begin())
+        for key in range(10):
+            xid = ltm.begin()
+            ltm.record_write(xid, "t", key)
+            ltm.commit(xid)
         removed = ltm.truncate_lco(keep_last=3)
         assert removed == 7 and len(ltm.lco) == 3
 
@@ -137,14 +139,32 @@ class TestLocalTransactionManager:
         ltm = LocalTransactionManager("dn0")
         # local commit, old global commit, newer global commit, local commit
         a = ltm.begin()
+        ltm.record_write(a, "t", 1)
         ltm.commit(a)
         b = ltm.begin(gxid=10)
+        ltm.record_write(b, "t", 2)
         ltm.commit(b)
         c = ltm.begin(gxid=20)
+        ltm.record_write(c, "t", 3)
         ltm.commit(c)
         d = ltm.begin()
+        ltm.record_write(d, "t", 4)
         ltm.commit(d)
         removed = ltm.prune_lco(horizon_gxid=15)
         # a (local front) and b (gxid 10 < 15) go; c blocks the prefix, so d stays.
         assert removed == 2
         assert [e.local_xid for e in ltm.lco] == [c, d]
+
+    def test_commit_without_writes_leaves_no_lco_entry(self):
+        ltm = LocalTransactionManager("dn0")
+        local = ltm.begin()
+        shared = ltm.begin(gxid=31)
+        writer = ltm.begin(gxid=32)
+        ltm.record_write(writer, "t", 1)
+        for xid in (local, shared, writer):
+            ltm.commit(xid)
+        assert [e.local_xid for e in ltm.lco] == [writer]
+        # the commit itself is as before: clog flipped, nothing active
+        assert all(ltm.clog.is_committed(x) for x in (local, shared, writer))
+        assert ltm.active_count == 0
+        assert ltm.xid_map[31] == shared
