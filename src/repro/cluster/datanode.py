@@ -292,16 +292,34 @@ class DataNode:
 
     def scan_lanes(self, table: str, snapshot: Snapshot,
                    xid: int = INVALID_XID):
-        """:meth:`scan` as typed batches of ``DEFAULT_BATCH_SIZE`` rows in
-        table-column order, counted as the walk counts them.
+        """:meth:`scan` as typed read-only batches in table-column order,
+        counted as the walk counts them.
 
-        The rows come from the table's column image, which is walked again
-        only when it no longer is exact for ``snapshot`` (:class:`_Image`).
-        Its arrays are read-only: they are shared by every scan it serves.
+        A table with HTAP state is served from its frozen chunks patched
+        with the snapshot-visible delta (``HtapTableStore.compose``): one
+        batch per composed chunk, the decoded vectors themselves, with no
+        heap walk.  When ``compose`` declines, the scan is counted as
+        ``htap.cold_rebuilds`` and reads the image instead.
+
+        Any other table is read from its column image in batches of
+        ``DEFAULT_BATCH_SIZE`` rows; the image is walked again only when
+        it no longer is exact for ``snapshot`` (:class:`_Image`).  Its
+        arrays are shared by every scan it serves.
         """
         from repro.exec import batch as batch_mod
 
         self._n_scan += 1
+        state = self.htap
+        if state is not None and table in state.tables:
+            store = state.tables[table].compose(self, snapshot, xid)
+            if store is not None:
+                self._n_rows += store.row_count
+                names = self._schemas[table].column_names
+                for chunk in store.scan_chunks(names):
+                    yield batch_mod.Batch([chunk[name] for name in names],
+                                          len(chunk[names[0]]))
+                return
+            self._note("htap.cold_rebuilds")
         heap = self.heap(table)
         clog = self.ltm.clog
         image = self._images.get(table)
@@ -322,52 +340,6 @@ class DataNode:
             part = whole.slice(start, size)
             self._n_rows += part.n
             yield part
-
-    def column_store_snapshot(self, table: str, snapshot: Snapshot,
-                              xid: int = INVALID_XID, row_filter=None):
-        """This node's slice of ``table`` as a column store, under MVCC.
-
-        Plan fragments on column-oriented tables run the vectorized kernels
-        against this snapshot instead of iterating the heap row by row.
-
-        HTAP-enabled tables are served from the persistent frozen chunk
-        set, patched with the snapshot-visible delta entries — no per-query
-        heap walk.  Tables without HTAP state (or snapshots the chunk set
-        cannot serve soundly) fall back to the legacy cold rebuild, counted
-        as ``htap.cold_rebuilds`` when HTAP is on.
-
-        ``row_filter`` (values -> bool) forces the heap-walk path with rows
-        dropped when it returns False.  It exists for the transient
-        rebalance window, where a shard-map exclusion hides a slot's
-        partially-copied (or flipped-but-not-yet-truncated) rows on this
-        node; frozen HTAP chunks may still contain them, so composing is
-        not sound here.  Steady state always passes ``None``.
-        """
-        if row_filter is not None:
-            from repro.storage.colstore import ColumnStore
-
-            store = ColumnStore(self._schemas[table], compress=False)
-            store.append_rows(values
-                              for _key, values in self.scan(table, snapshot, xid)
-                              if row_filter(values))
-            store.flush()
-            return store
-        state = self.htap
-        if state is not None and table in state.tables:
-            store = state.tables[table].compose(self, snapshot, xid)
-            if store is not None:
-                # Telemetry parity with the heap walk: one scan statement,
-                # one exec row per emitted row.
-                self._n_scan += 1
-                self._n_rows += store.row_count
-                return store
-            self._note("htap.cold_rebuilds")
-        from repro.storage.colstore import ColumnStore
-
-        store = ColumnStore(self._schemas[table], compress=False)
-        store.append_rows(values for _key, values in self.scan(table, snapshot, xid))
-        store.flush()
-        return store
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DataNode({self.node_id!r}, tables={sorted(self._heaps)})"

@@ -8,9 +8,9 @@ is the single switch the Figure 3 experiment flips.
 
 Query execution is *fragmented* over this topology: the SQL engine's planner
 cuts each plan at exchange boundaries, the per-DN fragments read their data
-node's shard (``GlobalTransaction.scan_shard`` /
-``shard_column_store``), and only exchange traffic crosses back to the
-coordinator — see :mod:`repro.exec.fragments`.
+node's shard (``GlobalTransaction.scan_shard_lanes``, row or column table
+alike), and only exchange traffic crosses back to the coordinator — see
+:mod:`repro.exec.fragments`.
 """
 
 from __future__ import annotations

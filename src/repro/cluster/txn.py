@@ -869,8 +869,10 @@ class GlobalTransaction(_BaseTransaction):
         return items
 
     def _lanes_on(self, table: str, dn, lxid: int, view):
-        """:meth:`_visible_on` as typed batches: the node's column image,
-        or inside a rebalance window the filtered walk."""
+        """:meth:`_visible_on` as typed batches: the node's lane scan
+        (:meth:`DataNode.scan_lanes`), or inside a rebalance window the
+        filtered walk (a column table's frozen chunks may still hold the
+        rows a shard-map exclusion hides)."""
         if self._scan_filter(table, dn.index) is None:
             return dn.scan_lanes(table, view, lxid)
         from repro.exec.batch import batches_from_rows
@@ -911,14 +913,6 @@ class GlobalTransaction(_BaseTransaction):
         self._require_running()
         dn, lxid, view = self._scan_site(dn_index)
         return self._lanes_on(table, dn, lxid, view)
-
-    def shard_column_store(self, table: str, dn_index: int):
-        """One node's slice of ``table`` as a column-store MVCC snapshot,
-        for fragments that run the vectorized kernels."""
-        self._require_running()
-        dn, lxid, view = self._scan_site(dn_index)
-        return dn.column_store_snapshot(
-            table, view, lxid, row_filter=self._scan_filter(table, dn.index))
 
     # -- completion ----------------------------------------------------------
 

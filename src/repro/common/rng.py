@@ -19,15 +19,6 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def derive_rng(rng: random.Random, salt: str) -> random.Random:
-    """Derive an independent child PRNG from ``rng`` and a label.
-
-    Used to hand each sub-generator its own stream so the order in which
-    sub-generators are invoked does not perturb each other's sequences.
-    """
-    return random.Random((rng.random(), salt).__hash__())
-
-
 def random_string(rng: random.Random, length: int, alphabet: str = string.ascii_lowercase) -> str:
     return "".join(rng.choice(alphabet) for _ in range(length))
 

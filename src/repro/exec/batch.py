@@ -1230,13 +1230,10 @@ def _can_batch(op, ops) -> bool:
     if isinstance(op, ops.PScan):
         if isinstance(op, ops.PKeyLookup):
             return False
-        op._batch_pred = None
-        if op.vector_preds is not None or op.predicate is None:
-            return True
-        op._batch_pred = compile_expr(op.predicate)
-        # a row source filters with the interpreter when the predicate
-        # has no batch form; a column store has no rows to filter
-        return op._batch_pred is not None or op.vector_store is None
+        # the row interpreter filters where the predicate has no batch form
+        op._batch_pred = (None if op.predicate is None
+                          else compile_expr(op.predicate))
+        return True
     if (isinstance(op, (ops.PFilter, ops.PProject, ops.PSort))
             and not op.child.batch_mode):
         return False

@@ -8,11 +8,9 @@ make the cut explicit:
 * :class:`Locus` — where a distributed subplan's rows live (the planner's
   distribution property, Greenplum would say "flow");
 * :class:`ScanBinding` — what the engine hands the planner for one
-  ``(table, data node)`` scan target: a row source, and for column-oriented
-  tables a :class:`~repro.storage.colstore.ColumnStore` the vectorized
-  kernels can chew through;
-* predicate compilation from bound expression trees to the
-  :data:`~repro.exec.vectorized.PredicateSpec` form the kernels accept.
+  ``(table, data node)`` scan target: a row source, the same rows as typed
+  lanes (``DataNode.scan_lanes``, for either orientation), and the keyed
+  source behind ``KeyLookup``.
 
 The operator classes themselves (``PFragment``, ``PExchange``,
 ``PPartialAgg``/``PFinalAgg``) live in :mod:`repro.exec.operators`.
@@ -21,10 +19,8 @@ The operator classes themselves (``PFragment``, ``PExchange``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
-from repro.exec.vectorized import PredicateSpec
-from repro.optimizer.expr import BoundBinary, BoundColumn, BoundConst, conjuncts
 from repro.storage.types import DataType
 
 
@@ -80,44 +76,15 @@ FragmentBuilder = Callable[[Optional[int]], object]
 class ScanBinding:
     """One scan target, as supplied by the engine to the planner.
 
-    ``rows`` yields tuples in table-column order.  ``column_store`` is
-    present for column-oriented tables scanned on a specific data node: it
-    builds that shard's :class:`~repro.storage.colstore.ColumnStore`
-    snapshot on demand.  ``lanes`` is present for row-oriented tables: the
-    same rows as typed batches, read from the data nodes' column images
-    (``DataNode.scan_lanes``).  ``lookup(sites)`` is the keyed source behind
+    ``rows`` yields tuples in table-column order.  ``lanes`` yields the same
+    rows as typed batches, read through the data nodes' lane scan
+    (``DataNode.scan_lanes``): a row table's column image, a column table's
+    frozen chunks patched with its delta.  A column table's ``rows`` is its
+    lanes bridged.  ``lookup(sites)`` is the keyed source behind
     ``KeyLookup``: the visible rows of the ``(dn_index, keys)`` probes in
     ``sites``, in the order a scan of those nodes would yield them.
     """
 
     rows: Callable[[], Iterable[tuple]]
-    column_store: Optional[Callable[[], object]] = None
     lookup: Optional[Callable[[tuple], Iterable[tuple]]] = None
     lanes: Optional[Callable[[], Iterable[object]]] = None
-
-
-# -- predicate compilation ------------------------------------------------
-
-_MIRROR = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def compile_predicates(predicate, schema) -> Optional[List[PredicateSpec]]:
-    """Compile a bound predicate to vector specs, or ``None`` if it uses
-    anything beyond ANDed ``column <op> constant`` comparisons."""
-    if predicate is None:
-        return []
-    specs: List[PredicateSpec] = []
-    for factor in conjuncts(predicate):
-        if not isinstance(factor, BoundBinary):
-            return None
-        op, left, right = factor.op, factor.left, factor.right
-        if isinstance(left, BoundConst) and isinstance(right, BoundColumn):
-            left, right, op = right, left, _MIRROR.get(op)
-        if op not in _MIRROR:
-            return None
-        if not (isinstance(left, BoundColumn) and isinstance(right, BoundConst)):
-            return None
-        if right.value is None or not (0 <= left.index < len(schema)):
-            return None
-        specs.append((schema[left.index].name, op, right.value))
-    return specs

@@ -168,14 +168,10 @@ def _op_memory(op: PhysicalOp, resident: Optional[PhysicalOp] = None):
 class PScan(PhysicalOp):
     """Table scan over a row source supplied by the engine.
 
-    When the engine binds a column store for this scan target (a
-    column-oriented table's shard), :meth:`execute_batches` is the one
-    column scan: batch-mode parents consume it directly, and ``execute``
-    bridges it back to rows wherever a row-only parent sits above.  A
-    row-oriented table batches too: the rows its row body would yield,
-    in the same order, as lanes of the schema's types — read from
-    ``lanes`` (the data nodes' column images) when the engine binds it,
-    else typed from the row source.
+    Either orientation batches: :meth:`execute_batches` yields the rows
+    its row body would, in the same order, as lanes of the schema's types
+    — read from ``lanes`` (the data nodes' lane scan) when the engine binds
+    it, else typed from the row source.
 
     A coordinator-side scan of a distributed table is not free: every raw
     tuple crosses the network from ``remote_sources`` shards before the
@@ -186,22 +182,18 @@ class PScan(PhysicalOp):
     """
 
     #: The predicate's compiled batch expression, set by the activation
-    #: pass; ``None`` where spec masks or the row interpreter filter.
+    #: pass; ``None`` where the row interpreter filters.
     _batch_pred = None
 
     def __init__(self, table: str, source: Callable[[], Iterable[tuple]],
                  schema: Schema, predicate: Optional[BoundExpr] = None,
                  estimated_rows: float = 0.0, step_text: Optional[str] = None,
-                 vector_store: Optional[Callable[[], object]] = None,
-                 vector_preds: Optional[List[Tuple[str, str, object]]] = None,
                  remote_sources: int = 0, cost_model=None,
                  lanes: Optional[Callable[[], Iterable[object]]] = None):
         super().__init__(schema, estimated_rows, step_text)
         self.table = table
         self.source = source
         self.predicate = predicate
-        self.vector_store = vector_store
-        self.vector_preds = vector_preds
         self.lanes = lanes
         #: Shards drained over the wire (0 = the scan is node-local).
         self.remote_sources = remote_sources
@@ -234,38 +226,18 @@ class PScan(PhysicalOp):
     def execute(self) -> Iterator[tuple]:
         if self.batch_mode:
             return self._bridge_rows()
-        if self.vector_store is not None and self.vector_preds is not None:
-            # Not activated (a LIMIT sits above): same column scan, counted
-            # per row so ``actual_rows`` is exactly what the LIMIT pulled.
-            from repro.exec.batch import rows_from_batches
-
-            return self._count(rows_from_batches(self.execute_batches()))
         return self._count(self._filtered())
 
     def execute_batches(self):
-        """Filtered column batches off the shard's column store, or off
-        the row source as typed lanes.
-
-        Compiled vector predicates filter a store's chunks via selection
-        masks; any other predicate is evaluated by its compiled batch
+        """The scan's lanes, filtered by the predicate's compiled batch
         expression over whole batches (``_batch_pred``, set by the
-        activation pass), or — on a row source, where it has no batch
-        form — by the row interpreter before the rows become lanes.
-        """
-        from repro.exec.batch import Batch, truth_mask
-        from repro.exec.vectorized import scan_filter_vectors
+        activation pass) — or, where it has no batch form, by the row
+        interpreter before the rows become lanes."""
+        from repro.exec.batch import truth_mask
 
-        names = [c.name for c in self.schema]
         pred = self._batch_pred
-        if self.vector_store is None:
-            batches = self._row_batches(
-                self.predicate if pred is None else None)
-        else:
-            batches = (Batch([chunk[name] for name in names],
-                             len(chunk[names[0]]))
-                       for chunk in scan_filter_vectors(
-                           self.vector_store(), names, self.vector_preds or ()))
-        for batch in batches:
+        for batch in self._row_batches(
+                self.predicate if pred is None else None):
             if pred is not None:
                 mask = truth_mask(pred(batch))
                 if not mask.any():

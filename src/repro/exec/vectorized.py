@@ -1,20 +1,26 @@
-"""Vectorized (batch) execution kernels over the column store.
+"""Whole-store kernels over the column store, and the numeric helpers
+the batch executor shares with them.
 
 FI-MPPDB's "vectorized execution engine is equipped with latest SIMD
 instructions for fine-grained parallelism"; numpy plays the role of the
 SIMD unit here.  The kernels operate on
-:class:`~repro.storage.colstore.ColumnVector` chunks:
+:class:`~repro.storage.colstore.ColumnVector` chunks of a
+:class:`~repro.storage.colstore.ColumnStore`:
 
-* predicate evaluation producing boolean selection masks — on a TEXT
-  lane that carries its chunk's dictionary codes, ``=`` and ``<>`` are
-  decided once per dictionary entry and gathered by code,
-* filtered materialization (the spec-mask branch of ``PScan``), codes
-  kept, so the lane fold in :mod:`repro.exec.batch` groups TEXT keys by
-  code too,
+* predicate evaluation of ANDed ``(column, op, literal)`` specs producing
+  boolean selection masks — on a TEXT lane that carries its chunk's
+  dictionary codes, ``=`` and ``<>`` are decided once per dictionary
+  entry and gathered by code,
+* filtered materialization of a store's chunks, codes kept,
 * chunked whole-table aggregation (sum/min/max/count/avg) beside its
   row-at-a-time reference, so the storage ablation benchmark can compare
   the two — the classic row-store vs column-store gap on scan-heavy OLAP
   work.
+
+The executor's scans do not use these kernels: they read lanes through
+``DataNode.scan_lanes`` and filter them with the predicate's compiled
+batch expression (:mod:`repro.exec.batch`), which shares
+:func:`comparable` with :func:`selection_mask`.
 """
 
 from __future__ import annotations

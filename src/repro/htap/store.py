@@ -18,7 +18,8 @@ have to touch:
 * :meth:`HtapTableStore.compose` overlays the entries the query's snapshot
   sees and serves the result from chunk references — or, when it sees
   none, the frozen store **as is**: zero rebuild, the whole point of the
-  subsystem;
+  subsystem.  ``DataNode.scan_lanes`` hands the executor one batch per
+  served chunk, its decoded vectors as they are;
 * when the snapshot cannot be served soundly (classical mode, UPGRADE-d
   merged snapshots, readers with their own uncommitted writes, snapshots
   older than the watermark), ``compose`` returns ``None`` and the caller
@@ -26,11 +27,15 @@ have to touch:
 
 Boundary invariant: chunk *i* of every served store holds rows
 ``[DEFAULT_CHUNK_ROWS * i, DEFAULT_CHUNK_ROWS * (i + 1))`` of arrival-stamp
-order — the boundaries the legacy heap walk produces — so column output
-(chunk-boundary-sensitive float aggregation included) reproduces the heap
-scan byte-for-byte.  An insert lands in the last chunk, a same-stamp
-update copies only its own chunk, and only a delete or a key that vacuum
-moved re-chunks the suffix from the first disturbed chunk on.
+order — the boundaries the heap walk's column store produces.  It keeps a
+key's row position (``pos_by_key``) the address of its chunk and offset,
+so an overlay patches only what it must and shares every other chunk,
+decoded vectors included, between the frozen set and the stores composed
+over it.  An insert lands in the last chunk, a same-stamp update copies
+only its own chunk, and only a delete or a key that vacuum moved
+re-chunks the suffix from the first disturbed chunk on.  (Float
+aggregates do not depend on the boundaries: the lane fold adds lane by
+lane in row order.)
 """
 
 from __future__ import annotations

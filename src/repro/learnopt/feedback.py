@@ -24,7 +24,6 @@ class CaptureSettings:
     """User settings/directives controlling the producer (paper: "based on
     user settings/directives, the producer selectively captures ...")."""
 
-    enabled: bool = True
     #: Minimum relative error |actual - estimate| / max(actual, 1) to capture.
     error_threshold: float = 0.5
     #: Steps with fewer actual rows than this are not worth capturing.
@@ -64,8 +63,6 @@ class FeedbackLoop:
         logical-step cardinalities whether or not the plan was fragmented.
         """
         report = CaptureReport()
-        if not self.settings.enabled:
-            return report
         grouped: Dict[Tuple[int, str], List[float]] = {}
         order: List[Tuple[int, str]] = []
         for op in walk_physical(root):

@@ -410,8 +410,3 @@ class _Anonymous:
 
 
 __ = _Anonymous()
-
-
-def bind_anonymous(traversal: Traversal, graph: PropertyGraph) -> Traversal:
-    """Attach a graph to an anonymous (``__``) traversal."""
-    return Traversal(graph, traversal._steps)

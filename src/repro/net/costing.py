@@ -91,10 +91,3 @@ class CostContext:
         if t_us > self.t_us:
             self.t_us = t_us
         return self.t_us
-
-
-def maybe_charge(ctx: Optional[CostContext], resource: Optional[Resource],
-                 service_us: float, hops: int = 1) -> None:
-    """Charge if a context is present; no-op in pure-correctness runs."""
-    if ctx is not None and resource is not None:
-        ctx.charge(resource, service_us, hops)

@@ -48,7 +48,6 @@ from repro.exec.fragments import (
     FragmentBuilder,
     Locus,
     ScanBinding,
-    compile_predicates,
 )
 from repro.exec.operators import (
     PDistinct,
@@ -352,20 +351,11 @@ class PhysicalPlanner:
                 cost_model=self.cost_model,
             )
         rows = source.rows if isinstance(source, ScanBinding) else source
-        vector_store = getattr(source, "column_store", None)
-        vector_preds = None
-        if vector_store is not None:
-            vector_preds = compile_predicates(plan.predicate, plan.schema)
         return PScan(
             plan.table, rows, plan.schema,
             predicate=plan.predicate,
             estimated_rows=est,
             step_text=plan.step_text(),
-            # Keep the store even when the predicate didn't compile to
-            # vector specs: the batch executor can still scan it and
-            # evaluate the full predicate with its compiled expression.
-            vector_store=vector_store,
-            vector_preds=vector_preds,
             remote_sources=0 if dn_index is not None
             else self._remote_sources(plan.table),
             cost_model=self.cost_model,

@@ -28,7 +28,7 @@ from repro.common.errors import (
     QueryTimeout,
     SqlAnalysisError,
 )
-from repro.exec.batch import enable_batches
+from repro.exec.batch import enable_batches, rows_from_batches
 from repro.exec.fragments import ScanBinding
 from repro.exec.operators import PhysicalOp, PlanOutline
 from repro.learnopt.feedback import CaptureReport, CaptureSettings, FeedbackLoop
@@ -450,34 +450,31 @@ class SqlEngine:
                     yield from schema.rows_of(current_txn().read_many(
                         schema.name, keys, site))
 
-            # A row-oriented table's lane scan reads the data nodes'
-            # column images; its row body keeps walking the heap.
-            row_table = schema.orientation is Orientation.ROW
+            # Either orientation's lanes come from the data nodes' lane
+            # scan (``DataNode.scan_lanes``); a plan fragment reads only
+            # its own node's slice.
             if dn_index is None:
-                def rows() -> Iterable[tuple]:
-                    return schema.rows_of(current_txn().scan(schema.name))
-
                 def lanes():
                     return current_txn().scan_lanes(schema.name)
 
-                return ScanBinding(rows, lookup=lookup,
-                                   lanes=lanes if row_table else None)
+                def walk() -> Iterable[tuple]:
+                    return schema.rows_of(current_txn().scan(schema.name))
+            else:
+                def lanes():
+                    return current_txn().scan_shard_lanes(schema.name, dn_index)
 
-            # A plan fragment's scan: only this data node's slice.  Column-
-            # oriented tables additionally expose a column-store snapshot so
-            # the scan can run the vectorized kernels.
+                def walk() -> Iterable[tuple]:
+                    return current_txn().scan_shard(schema.name, dn_index)
+
+            if schema.orientation is Orientation.ROW:
+                return ScanBinding(walk, lookup=lookup, lanes=lanes)
+
+            # A column table's row body (under a LIMIT) bridges its lanes,
+            # so it reads and counts what its batched scan would.
             def rows() -> Iterable[tuple]:
-                return current_txn().scan_shard(schema.name, dn_index)
+                return rows_from_batches(lanes())
 
-            def lanes():
-                return current_txn().scan_shard_lanes(schema.name, dn_index)
-
-            def column_store():
-                return current_txn().shard_column_store(schema.name, dn_index)
-
-            return ScanBinding(rows, lookup=lookup,
-                               column_store=None if row_table else column_store,
-                               lanes=lanes if row_table else None)
+            return ScanBinding(rows, lookup=lookup, lanes=lanes)
 
         def table_function_rows(name: str, args: Tuple[object, ...]):
             impl = self.table_functions.get(name)

@@ -101,26 +101,3 @@ class MergedSnapshot(Snapshot):
         if xid in self.forced_active:
             return False
         return super().xid_visible(xid, clog, own_xid)
-
-
-def snapshot_union_active(a: Snapshot, b: Snapshot) -> FrozenSet[int]:
-    """Union of two snapshots' active sets (a MergeSnapshot building block)."""
-    return a.active | b.active
-
-
-@dataclass
-class SnapshotStats:
-    """Counters a transaction manager keeps about snapshot production."""
-
-    taken: int = 0
-    merged: int = 0
-    upgrades: int = 0
-    downgrades: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "taken": self.taken,
-            "merged": self.merged,
-            "upgrades": self.upgrades,
-            "downgrades": self.downgrades,
-        }

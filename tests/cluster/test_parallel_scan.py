@@ -121,8 +121,9 @@ class TestParallelScanAccounting:
         # Uncommitted concurrent write must be invisible to the snapshot.
         concurrent = cluster.session().begin(multi_shard=True)
         concurrent.insert("c", {"id": 100, "v": 100})
-        stores = [reader.shard_column_store("c", dn) for dn in range(2)]
-        total = sum(s.row_count for s in stores)
+        # Each node's fragment lane scan reads under the reader's snapshot.
+        total = sum(batch.n for dn in range(2)
+                    for batch in reader.scan_shard_lanes("c", dn))
         concurrent.abort()
         reader.commit()
         assert total == 10

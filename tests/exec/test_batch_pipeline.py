@@ -56,8 +56,14 @@ class TestManyGroups:
         ])
         scan_schema = [ColumnInfo("g", None, DataType.INT),
                        ColumnInfo("v", None, DataType.DOUBLE)]
-        scan = PScan("m", lambda: (), scan_schema,
-                     vector_store=lambda: cs, vector_preds=[])
+
+        def lanes():
+            return (Batch([chunk["g"], chunk["v"]], len(chunk["g"]))
+                    for chunk in cs.scan_chunks(["g", "v"]))
+
+        # a column shard's row body bridges its lanes, as the engine binds it
+        scan = PScan("m", lambda: rows_from_batches(lanes()), scan_schema,
+                     lanes=lanes)
         return PPartialAgg(
             scan, [BoundColumn(0, "g", DataType.INT)],
             [AggSpec(func, BoundColumn(1, "v", DataType.DOUBLE))],
@@ -294,7 +300,9 @@ class TestLimitOverColumnScan:
     def _scans(self, physical, batched=False):
         scans = [op for op in walk_physical(physical)
                  if isinstance(op, PScan)]
-        assert scans and all(op.vector_preds is not None
+        # the column shard's lanes, filtered by the compiled predicate
+        assert scans and all(op.lanes is not None
+                             and op._batch_pred is not None
                              and op.batch_mode == batched for op in scans)
         return scans
 
@@ -349,7 +357,7 @@ class TestRowScanCounts:
         before = metrics.value("exec.rows") or 0.0
         physical, rows = _activated_plan(engine, sql)
         scans = [op for op in walk_physical(physical) if isinstance(op, PScan)]
-        assert scans and all(op.vector_store is None for op in scans)
+        assert scans and all(op.lanes is not None for op in scans)
         return (rows, scans, sum(op.scanned_rows for op in scans),
                 metrics.value("exec.rows") - before)
 

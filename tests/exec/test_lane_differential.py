@@ -33,7 +33,8 @@ from repro.cluster.datanode import DataNode
 from repro.cluster.mpp import MppCluster
 from repro.exec.batch import enable_batches
 from repro.exec.operators import (PExchange, PFinalAgg, PHashAggregate,
-                                  PHashJoin, PPartialAgg, walk_physical)
+                                  PHashJoin, PPartialAgg, PScan,
+                                  walk_physical)
 from repro.sql.engine import SqlEngine
 from repro.sql.parser import parse
 
@@ -238,7 +239,7 @@ def _large_keys(bigger):
 def test_int_keys_past_double_precision(orientations, bigger, num_dns):
     """One DN: both sides' keys meet in one join (redistribution would
     hash 2**53 + 1 and 2.0**53 apart).  Two: a column table's filter runs
-    per DN on its column store's spec masks."""
+    per DN on its composed chunks' lanes."""
     check(_large_keys(bigger), orientations, num_dns)
 
 
@@ -710,3 +711,60 @@ def test_unread_probe_columns_cross_a_redistribute(orientations, num_dns):
     for sql, _ in UNREAD_STATEMENTS:
         plan = engine.execute("explain " + sql).plan_text
         assert "Exchange redistribute" in plan, plan
+
+
+# -- a column table's scan predicates ------------------------------------------
+#
+# Both orientations filter a scan with the predicate's compiled batch
+# expression (or, with no batch form, the row interpreter): constants on
+# either side, int lanes against double constants and the reverse past
+# 2**53, coded TEXT against NULLs, and LIKE.
+
+SCAN_STATEMENTS = [
+    ("select id from f where 2 < k", True),
+    ("select id, x from f where 1.5 >= x and 0 <> h", True),
+    ("select id from f where k < 2.5", True),
+    ("select id from f where 3.0 = k", True),
+    ("select id from f where x >= 2", True),
+    ("select g, count(*), sum(x) from f where g like 'a%' group by g", True),
+    ("select id from f where g like '%b' and k > 1", True),
+]
+
+LARGE_SCAN_STATEMENTS = [
+    ("select id from f where 9007199254740992.0 < k", True),
+    ("select id from f where k = 9007199254740992.0", True),
+    ("select id from f where k <> 9007199254740992.0", True),
+    ("select id from d where dk = 9007199254740993", True),
+    ("select id from d where 9007199254740993 > dk", True),
+    ("select id from d where dk >= 9007199254740993", True),
+]
+
+CODED_SCAN_STATEMENTS = [
+    ("select id from f where 'a' <> g", True),
+    ("select id from f where g <> 'zz'", True),
+    ("select id from f where g = 'd' or 'b' = g", True),
+    ("select id, x from f where g <> 'a' and 1 < k", True),
+    ("select id from f where g like 'c'", True),
+]
+
+
+@pytest.mark.parametrize("num_dns", [1, 2])
+def test_column_scan_predicates(num_dns):
+    check(FIXED, ("column", "column"), num_dns, statements=SCAN_STATEMENTS)
+    check(_large_keys("f"), ("column", "column"), num_dns,
+          statements=LARGE_SCAN_STATEMENTS)
+    check(CODED, ("column", "column"), num_dns, batch_rows=4, chunk_rows=8,
+          statements=CODED_SCAN_STATEMENTS, merge=True)
+
+
+def test_like_filters_a_column_scan_by_the_row_interpreter():
+    engine = _engine(FIXED, ("column", "column"), 2, reference=False)
+    txn = engine.cluster.session().begin(multi_shard=True)
+    try:
+        physical = engine.plan_select(parse(SCAN_STATEMENTS[5][0]), txn)
+    finally:
+        txn.commit()
+    enable_batches(physical)
+    scans = [op for op in walk_physical(physical) if isinstance(op, PScan)]
+    assert scans and all(op.batch_mode and op.lanes is not None
+                         and op._batch_pred is None for op in scans)

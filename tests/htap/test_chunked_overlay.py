@@ -5,8 +5,9 @@ constant is patched down to ``CHUNK`` rows for the whole module, so a few
 dozen rows span several chunks and the properties the overlay must keep
 become checkable:
 
-* the served store equals the heap-walk store *chunk for chunk* — same
-  boundaries, so float aggregation stays bit-equal to ``htap_enabled=False``;
+* the composed store equals the heap-walk store *chunk for chunk*, and a
+  lane scan yields one batch per composed chunk with the heap walk's rows;
+  the SQL aggregates stay bit-equal to ``htap_enabled=False``;
 * a merge shares (``is``) every chunk it did not have to touch;
 * only a full chunk is compressed, and exactly once;
 * a store handed to a reader never changes under later commits and merges;
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.mpp import MppCluster
+from repro.exec.batch import rows_from_batches
 from repro.htap import store as store_module
 from repro.htap.manager import _row_bytes
 from repro.sql.engine import SqlEngine
@@ -74,19 +76,25 @@ def chunk_lengths(store):
 
 
 def assert_serves_chunk_for_chunk(cluster, table="c"):
-    """Every DN's served store equals the heap walk: rows *and* boundaries."""
+    """Every DN's composed store equals the heap walk: rows *and*
+    boundaries; its lane scan is those chunks, batch for chunk."""
     txn = cluster.session().begin(multi_shard=True)
     for dn_index, dn in enumerate(cluster.dns):
-        served = txn.shard_column_store(table, dn_index)
+        names = dn._schemas[table].column_names
+        batches = list(txn.scan_shard_lanes(table, dn_index))
+        view, xid = txn._local_view[dn_index], txn._local_xid[dn_index]
+        served = dn.htap.tables[table].compose(dn, view, xid)
         oracle = ColumnStore(dn._schemas[table], compress=False)
         oracle.append_rows(
             values for _key, values in dn.heap(table).scan(
-                txn._local_view[dn_index], dn.ltm.clog,
-                txn._local_xid[dn_index]))
+                view, dn.ltm.clog, xid))
         oracle.flush()
         assert served.chunk_count == oracle.chunk_count
         assert chunk_lengths(served) == chunk_lengths(oracle)
         assert list(served.scan_rows()) == list(oracle.scan_rows())
+        assert [batch.n for batch in batches] == chunk_lengths(oracle)
+        assert [dict(zip(names, row)) for row in rows_from_batches(
+            batches)] == list(oracle.scan_rows())
         for sealed in served._sealed:
             if next(iter(sealed.values())).row_count < CHUNK:
                 # Only a full chunk is ever compressed.
@@ -95,8 +103,10 @@ def assert_serves_chunk_for_chunk(cluster, table="c"):
 
 
 def serve(cluster, dn_index=0):
+    """The store a fresh reader's lane scan of ``dn_index`` is served from."""
     reader = cluster.session().begin(multi_shard=True)
-    served = reader.shard_column_store("c", dn_index)
+    dn, lxid, view = reader._scan_site(dn_index)
+    served = dn.htap.tables["c"].compose(dn, view, lxid)
     reader.commit()
     return served
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.ha import HaManager
 from repro.cluster.mpp import MppCluster
+from repro.exec.batch import rows_from_batches
 from repro.storage.colstore import ColumnStore
 from repro.storage.heap import MvccHeap
 from repro.storage.table import Column, Orientation, TableSchema
@@ -33,14 +34,21 @@ def heap_walk_rows(dn, table, snapshot, xid):
     return store
 
 
+def served_rows(txn, table, dn_index):
+    """One DN's lane scan of ``table``, as row dicts."""
+    names = txn._schema(table).column_names
+    return [dict(zip(names, row)) for row in rows_from_batches(
+        txn.scan_shard_lanes(table, dn_index))]
+
+
 def assert_serves_identically(cluster, table="c"):
-    """Every DN's served store must equal the heap walk, row for row."""
+    """Every DN's lane scan must equal the heap walk, row for row."""
     txn = cluster.session().begin(multi_shard=True)
     for dn_index, dn in enumerate(cluster.dns):
-        served = txn.shard_column_store(table, dn_index)
+        served = served_rows(txn, table, dn_index)
         view = txn._local_view[dn_index]
         oracle = heap_walk_rows(dn, table, view, txn._local_xid[dn_index])
-        assert list(served.scan_rows()) == list(oracle.scan_rows())
+        assert served == list(oracle.scan_rows())
     txn.commit()
 
 
@@ -186,7 +194,8 @@ class TestCompose:
         cluster.htap.tick()
         store = cluster.dns[0].htap.tables["c"]
         reader = session.begin(multi_shard=True)
-        served = reader.shard_column_store("c", 0)
+        dn, lxid, view = reader._scan_site(0)
+        served = store.compose(dn, view, lxid)
         reader.commit()
         assert served is store.frozen.store   # zero rebuild
         assert cluster.obs.metrics.counter("htap.scans_frozen").value == 1
@@ -223,11 +232,10 @@ class TestCompose:
         writer.commit()
         # The reader's snapshot predates the commit: the committed delta
         # entry must stay invisible.
-        served = reader.shard_column_store("c", 0)
-        assert list(served.scan_rows()) == [{"k": 1, "v": 1}]
+        assert served_rows(reader, "c", 0) == [{"k": 1, "v": 1}]
         reader.commit()
         late = session.begin(multi_shard=True)
-        assert list(late.shard_column_store("c", 0).scan_rows()) == [
+        assert served_rows(late, "c", 0) == [
             {"k": 1, "v": 1}, {"k": 2, "v": 2}]
         late.commit()
 
@@ -239,11 +247,10 @@ class TestCompose:
         cluster.htap.tick()
         writer = session.begin(multi_shard=True)
         writer.insert("c", {"k": 2, "v": 2})
-        served = writer.shard_column_store("c", 0)
         # Uncommitted own writes live only in the heap: fallback, and the
         # reader still sees its own write.
-        assert list(served.scan_rows()) == [{"k": 1, "v": 1},
-                                            {"k": 2, "v": 2}]
+        assert served_rows(writer, "c", 0) == [{"k": 1, "v": 1},
+                                               {"k": 2, "v": 2}]
         writer.commit()
         assert cluster.obs.metrics.counter("htap.cold_rebuilds").value == 1
         assert (cluster.obs.metrics.counter("htap.fallback.own_writes").value
@@ -259,8 +266,7 @@ class TestCompose:
         writer.insert("c", {"k": 2, "v": 2})
         writer.commit()
         cluster.htap.tick()          # watermark advances past the reader
-        served = reader.shard_column_store("c", 0)
-        assert list(served.scan_rows()) == [{"k": 1, "v": 1}]
+        assert served_rows(reader, "c", 0) == [{"k": 1, "v": 1}]
         reader.commit()
         assert cluster.obs.metrics.counter("htap.cold_rebuilds").value >= 1
 
@@ -273,7 +279,7 @@ class TestCompose:
         cluster.htap.tick()
         for _ in range(5):
             reader = session.begin(multi_shard=True)
-            reader.shard_column_store("c", 0)
+            list(reader.scan_shard_lanes("c", 0))
             reader.commit()
         metrics = cluster.obs.metrics
         assert metrics.counter("htap.scans_frozen").value == 5

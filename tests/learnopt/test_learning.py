@@ -102,12 +102,6 @@ class TestCapturePolicy:
         result = engine.execute(self.TABLE1_QUERY)
         assert result.capture.captured == 0
 
-    def test_capture_disabled(self):
-        engine = self._engine(enabled=False)
-        result = engine.execute(self.TABLE1_QUERY)
-        assert result.capture.captured == 0
-        assert len(engine.plan_store) == 0
-
     def test_learning_can_be_disabled_engine_wide(self):
         cluster = MppCluster(num_dns=1)
         engine = SqlEngine(cluster, learning_enabled=False)

@@ -5,8 +5,9 @@ mid-merge, time out or drop a merge, stall the freshness tick), runs an
 OLTP write mix with daemon ticks interleaved, recovers the cluster, and
 asserts the delta-merge crash-safety invariants:
 
-1. **No lost or duplicated rows** — every DN's served column store equals
-   the MVCC heap walk row for row, and the union of served rows equals the
+1. **No lost or duplicated rows** — every DN's lane scan
+   (``scan_shard_lanes``, served from its frozen chunks) equals the MVCC
+   heap walk row for row, and the union of served rows equals the
    oracle built from acknowledged commits.
 2. **No stuck watermark** — once recovery completes and a fault-free tick
    runs, every delta drains and ``frozen.merged_seq`` catches up to the
@@ -27,6 +28,7 @@ import pytest
 from repro.cluster import MppCluster, TxnMode
 from repro.cluster.ha import HaManager
 from repro.common.errors import TransactionError
+from repro.exec.batch import rows_from_batches
 from repro.faults import FaultInjector
 from repro.faults.chaos import (HTAP_FAULT_MENU, arm_random_htap_faults,
                                 recover_cluster)
@@ -94,11 +96,13 @@ def chaos_round(cluster, injector, session, rng, expected, marker):
 
 
 def assert_no_lost_or_duplicate_rows(cluster, expected):
-    """Invariant 1: served stores match heap walks and the oracle."""
+    """Invariant 1: lane scans match heap walks and the oracle."""
     txn = cluster.session().begin(multi_shard=True)
     served_union = {}
     for dn_index, dn in enumerate(cluster.dns):
-        served = list(txn.shard_column_store("c", dn_index).scan_rows())
+        names = dn._schemas["c"].column_names
+        served = [dict(zip(names, row)) for row in rows_from_batches(
+            txn.scan_shard_lanes("c", dn_index))]
         oracle = ColumnStore(dn._schemas["c"], compress=False)
         oracle.append_rows(
             values for _key, values in dn.heap("c").scan(
