@@ -299,7 +299,8 @@ class DataNode:
         with the snapshot-visible delta (``HtapTableStore.compose``): one
         batch per composed chunk, the decoded vectors themselves, with no
         heap walk.  When ``compose`` declines, the scan is counted as
-        ``htap.cold_rebuilds`` and reads the image instead.
+        ``htap.cold_rebuilds`` and reads the image instead; the next scan
+        ``compose`` serves drops that image.
 
         Any other table is read from its column image in batches of
         ``DEFAULT_BATCH_SIZE`` rows; the image is walked again only when
@@ -313,6 +314,7 @@ class DataNode:
         if state is not None and table in state.tables:
             store = state.tables[table].compose(self, snapshot, xid)
             if store is not None:
+                self._images.pop(table, None)
                 self._n_rows += store.row_count
                 names = self._schemas[table].column_names
                 for chunk in store.scan_chunks(names):

@@ -36,6 +36,12 @@ only its own chunk, and only a delete or a key that vacuum moved
 re-chunks the suffix from the first disturbed chunk on.  (Float
 aggregates do not depend on the boundaries: the lane fold adds lane by
 lane in row order.)
+
+A chunk that an overlay copies from one chunk — patched, or the last one
+with rows appended — derives its decoded vectors from that chunk's
+instead of decoding its value lists again (:meth:`FrozenChunk.sealed`),
+so a tail that grows by a few rows per merge is decoded once, not once
+per merge and per composed read.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from repro.txn.xid import INVALID_XID
 class FrozenChunk:
     """One horizontal slice of a frozen set; immutable once built."""
 
-    __slots__ = ("keys", "stamps", "columns", "_sealed")
+    __slots__ = ("keys", "stamps", "columns", "origin", "_sealed")
 
     def __init__(self, keys: List[object], stamps: List[int],
                  columns: Dict[str, list]):
@@ -67,6 +73,10 @@ class FrozenChunk:
         #: merge nor compose decodes (or round-trips values through) the
         #: encoded chunk.
         self.columns = columns
+        #: ``(source chunk, patched offsets)`` when :func:`overlay` built
+        #: this chunk as a copy of one chunk, patched and possibly with
+        #: rows appended after it; dropped once sealed.
+        self.origin: Optional[Tuple["FrozenChunk", List[int]]] = None
         self._sealed: Optional[Dict[str, ColumnChunk]] = None
 
     def sealed(self, schema: TableSchema,
@@ -74,11 +84,24 @@ class FrozenChunk:
         """The scannable form, built by the first caller and then shared
         (it carries the decode-once cache).  Only a full chunk is ever
         compressed: the last one grows with every merge, so it stays
-        ``plain`` until it fills and is encoded once."""
+        ``plain`` until it fills and is encoded once.
+
+        A chunk with an ``origin`` does not decode its columns again where
+        it can derive them from the source's decoded vectors
+        (:meth:`~repro.storage.colstore.ColumnChunk.derive_decoded`).
+        """
         if self._sealed is None:
             full = len(self.keys) >= colstore.DEFAULT_CHUNK_ROWS
-            self._sealed = colstore.seal_columns(schema, self.columns,
-                                                 compress and full)
+            sealed = colstore.seal_columns(schema, self.columns,
+                                           compress and full)
+            if self.origin is not None:
+                # A source is a published frozen chunk: sealed already.
+                source, offsets = self.origin
+                self.origin = None
+                for name, chunk in sealed.items():
+                    chunk.derive_decoded(source._sealed[name],
+                                         len(source.keys), offsets)
+            self._sealed = sealed
         return self._sealed
 
 
@@ -149,10 +172,15 @@ def overlay(names: List[str], chunks: List[FrozenChunk],
             stamps.insert(at, stamp)
             for name in names:
                 columns[name].insert(at, values[name])
-        return [FrozenChunk(keys[at:at + size], stamps[at:at + size],
-                            {name: columns[name][at:at + size]
-                             for name in names})
-                for at in range(0, len(keys), size)]
+        out = [FrozenChunk(keys[at:at + size], stamps[at:at + size],
+                           {name: columns[name][at:at + size]
+                            for name in names})
+               for at in range(0, len(keys), size)]
+        if hi - lo == 1 and not drop and (
+                not add or add[0][0] > chunks[lo].stamps[-1]):
+            # One source chunk, patched and appended to: lanes derive.
+            out[0].origin = chunks[lo], list(patched.get(lo, ()))
+        return out
 
     out = chunks[:first]
     moved = 0

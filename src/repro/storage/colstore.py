@@ -13,7 +13,7 @@ fresh transactional rows from the MVCC heap instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,23 +40,6 @@ class ColumnChunk:
     _decoded: Optional["ColumnVector"] = field(
         default=None, repr=False, compare=False)
 
-    def decode(self) -> np.ndarray:
-        values = compression.decode(self.codec, self.payload)
-        if len(values) != self.row_count:
-            raise StorageError(
-                f"chunk {self.column}: decoded {len(values)} rows, expected {self.row_count}"
-            )
-        if self.data_type is DataType.TEXT:
-            return np.array(values, dtype=object)
-        arr = np.empty(self.row_count, dtype=self.data_type.numpy_dtype)
-        mask = [v is None for v in values]
-        if any(mask):
-            # NULLs are materialized as the type's sentinel; a parallel
-            # validity mask is produced by ``decode_with_nulls``.
-            values = [0 if v is None else v for v in values]
-        arr[:] = values
-        return arr
-
     def decode_with_nulls(self) -> "ColumnVector":
         """The decoded vector, cached.  A TEXT chunk carries its dictionary
         codes: a ``dict`` chunk's own payload, any other codec's built
@@ -71,13 +54,39 @@ class ColumnChunk:
                     compression.decode(self.codec, self.payload))
             vec = text_vector(dictionary, codes)
         else:
-            values = compression.decode(self.codec, self.payload)
-            vec = ColumnVector(
-                np.array([v if v is not None else 0 for v in values],
-                         dtype=self.data_type.numpy_dtype),
-                np.array([v is not None for v in values], dtype=bool))
+            vec = ColumnVector(*lanes_of(
+                compression.decode(self.codec, self.payload),
+                self.data_type))
+        if len(vec) != self.row_count:
+            raise StorageError(
+                f"chunk {self.column}: decoded {len(vec)} rows, expected {self.row_count}"
+            )
         self._decoded = vec.read_only()
         return vec
+
+    def derive_decoded(self, source: "ColumnChunk", start: int,
+                       offsets: Sequence[int]) -> None:
+        """Set the decoded vector of this chunk, whose values are
+        ``source``'s with ``offsets`` replaced and rows appended from
+        ``start`` on, from ``source``'s decoded vector: a copy with the
+        appended and replaced lanes typed, never a buffer shared with it.
+
+        Only a ``plain`` numeric chunk derives, and only from a decoded
+        ``plain`` source: a codec may fold values the plain payload keeps
+        apart (``-0.0`` and ``0.0``).  Anything else decodes lazily."""
+        parent = source._decoded
+        if (parent is None or source.codec != "plain"
+                or self.codec != "plain"
+                or self.data_type is DataType.TEXT):
+            return
+        values = self.payload
+        data, validity = lanes_of(values[start:], self.data_type)
+        data = np.concatenate((parent.data, data))
+        validity = np.concatenate((parent.validity, validity))
+        if offsets:
+            data[offsets], validity[offsets] = lanes_of(
+                [values[at] for at in offsets], self.data_type)
+        self._decoded = ColumnVector(data, validity).read_only()
 
 
 class ColumnVector:
@@ -206,6 +215,14 @@ def _compose(outer: np.ndarray, inner) -> np.ndarray:
     return composed
 
 
+def lanes_of(values: Sequence[object], data_type: DataType
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(data, validity)`` of coerced non-TEXT values; a NULL is a 0 lane."""
+    return (np.array([v if v is not None else 0 for v in values],
+                     dtype=data_type.numpy_dtype),
+            np.array([v is not None for v in values], dtype=bool))
+
+
 def text_vector(dictionary: Sequence[Optional[str]],
                 codes: Sequence[int]) -> ColumnVector:
     """A TEXT vector from its dictionary encoding, codes in the narrowest
@@ -292,12 +309,7 @@ class ColumnStore:
                     chunk[name] = text_vector(
                         *compression.DictionaryCodec.encode(values))
                     continue
-                validity = np.array([v is not None for v in values], dtype=bool)
-                data = np.array(
-                    [v if v is not None else 0 for v in values],
-                    dtype=col.data_type.numpy_dtype,
-                )
-                chunk[name] = ColumnVector(data=data, validity=validity)
+                chunk[name] = ColumnVector(*lanes_of(values, col.data_type))
             yield chunk
 
     def scan_rows(self) -> Iterator[Dict[str, object]]:

@@ -142,6 +142,18 @@ class TestComposedLanes:
             "htap.scans_composed": 0, "htap.cold_rebuilds": 1}
         assert metrics.value("htap.fallback.own_writes") == 1
 
+    def test_a_composed_scan_drops_the_fallback_image(self, cluster, served):
+        dn = cluster.dns[0]
+        txn = cluster.session().begin(multi_shard=True)
+        txn.insert("c", {"k": 100, "v": 0, "x": 0.5, "s": "a"})
+        scan(cluster, txn)
+        txn.commit()
+        assert "c" in dn._images
+        batches = scan(cluster)
+        assert served[0] is None and served[1] is not None
+        assert sum(batch.n for batch in batches) == 21
+        assert "c" not in dn._images
+
 
 # -- the fold does not see the batch boundaries --------------------------------
 

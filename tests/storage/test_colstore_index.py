@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import StorageError
-from repro.storage.colstore import ColumnStore
+from repro.storage.colstore import ColumnChunk, ColumnStore
 from repro.storage.table import Column, TableSchema
 from repro.storage.types import DataType, coerce, type_of_literal
 
@@ -68,6 +68,14 @@ class TestColumnStore:
         store = store_with_rows(4)
         with pytest.raises(Exception):
             list(store.scan_chunks(["zz"]))
+
+    @pytest.mark.parametrize("data_type, payload", [
+        (DataType.INT, [1, None, 3]), (DataType.TEXT, ["a", None, "a"])])
+    def test_decode_checks_the_row_count(self, data_type, payload):
+        chunk = ColumnChunk("x", data_type, "plain", payload, row_count=4)
+        with pytest.raises(StorageError, match="decoded 3 rows, expected 4"):
+            chunk.decode_with_nulls()
+        assert chunk._decoded is None
 
 
 class TestTypes:
