@@ -53,8 +53,8 @@ OUT_PATH = Path(__file__).parent / "out" / "BENCH_exec_speedup.json"
 
 REGIONS = ("north", "south", "east", "west")
 
-#: The canned catalog.  Deliberately mixed: simple vector-spec predicates
-#: (spec masks), complex OR/arithmetic predicates (compiled batch
+#: The canned catalog.  Deliberately mixed: simple column-vs-constant
+#: predicates, complex OR/arithmetic ones (all compiled batch
 #: expressions), group-bys, a full no-limit sort, and a fact-dimension join.
 QUERIES = [
     "select region, count(*), sum(amount) from sales "

@@ -125,9 +125,6 @@ class StandbyReplica:
         """Staged GXIDs in *stage order* — the same-key data order."""
         return list(self._prepared)
 
-    def staged_redo(self, gxid: int) -> List[RedoOp]:
-        return list(self._prepared.get(gxid, []))
-
     def row_count(self, table: str) -> int:
         return len(self._tables.get(table, {}))
 

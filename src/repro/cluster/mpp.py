@@ -368,10 +368,6 @@ class MppCluster:
                     removed += dn.heap(table).vacuum(snapshot, dn.ltm.clog)
         return removed
 
-    def truncate_lcos(self, keep_last: int = 1024) -> int:
-        return sum(dn.ltm.truncate_lco(keep_last)
-                   for dn in self.active_dns())
-
     def maybe_prune_lcos(self) -> None:
         """Amortized LCO garbage collection, driven by commit traffic.
 

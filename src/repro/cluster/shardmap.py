@@ -102,9 +102,6 @@ class ShardMap:
         """Target DN if the slot is mid-move (double-write window)."""
         return self._moving.get(slot)
 
-    def moving_target_for_value(self, value) -> Optional[int]:
-        return self._moving.get(shard_of_value(value, self.num_slots))
-
     def has_moves(self) -> bool:
         return bool(self._moving)
 
@@ -114,9 +111,6 @@ class ShardMap:
     def members(self) -> Tuple[int, ...]:
         """Active DN indices, ascending (retired DNs are absent)."""
         return tuple(self._members)
-
-    def is_member(self, dn_index: int) -> bool:
-        return dn_index in self._members
 
     def add_member(self, dn_index: int) -> None:
         """Admit a new DN (owning zero slots until a rebalance)."""

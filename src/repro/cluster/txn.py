@@ -111,10 +111,6 @@ class TxnMode(enum.Enum):
     GTM_LITE_NAIVE = "gtm_lite_naive"
 
     @property
-    def is_lite(self) -> bool:
-        return self is not TxnMode.CLASSICAL
-
-    @property
     def downgrade_enabled(self) -> bool:
         return self in (TxnMode.GTM_LITE, TxnMode.GTM_LITE_NO_UPGRADE)
 

@@ -1,4 +1,5 @@
-"""Physical execution: volcano operators and vectorized kernels."""
+"""Physical execution: volcano operators and the lane kernels they batch
+through (:mod:`repro.exec.batch`)."""
 
 from repro.exec.operators import PhysicalOp, walk_physical
 

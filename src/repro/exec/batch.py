@@ -39,7 +39,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.exec.vectorized import beyond_float, comparable
 from repro.optimizer.expr import (
     BoundBinary,
     BoundColumn,
@@ -253,6 +252,24 @@ _CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "%": operator.mod, "/": operator.truediv}
+
+
+def beyond_float(data: np.ndarray) -> bool:
+    """Whether an integer lane holds a value float64 would round."""
+    return data.dtype.kind in "iu" and bool(
+        ((data > 2 ** 53) | (data < -2 ** 53)).any())
+
+
+def comparable(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as numpy compares them the way Python does.  numpy
+    compares an integer lane with a float lane as floats, rounding integers
+    past 2**53; Python compares them exactly — so such a pair compares as
+    Python objects."""
+    kinds = {a.dtype.kind, b.dtype.kind}
+    if "f" in kinds and kinds & {"i", "u"} and (beyond_float(a)
+                                                or beyond_float(b)):
+        return a.astype(object), b.astype(object)
+    return a, b
 
 
 def _compare(op: str):

@@ -289,17 +289,6 @@ class FaultInjector:
         cluster = self._require_cluster()
         cluster.dns[dn_index].crashed = True
 
-    def is_crashed(self, dn_index: int) -> bool:
-        if self.cluster is None:
-            return False
-        return bool(getattr(self.cluster.dns[dn_index], "crashed", False))
-
-    def crashed_dns(self) -> List[int]:
-        if self.cluster is None:
-            return []
-        return [i for i, dn in enumerate(self.cluster.dns)
-                if getattr(dn, "crashed", False)]
-
     def _partition(self, dn_index: Optional[int]) -> None:
         cluster = self._require_cluster()
         ha = getattr(cluster, "ha", None)

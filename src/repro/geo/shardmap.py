@@ -88,10 +88,6 @@ class GeoShardMap:
     def hosts_value(self, region: int, value) -> bool:
         return region in self._hosts[shard_of_value(value, self.num_slots)]
 
-    def slots_hosted_by(self, region: int) -> List[int]:
-        return [s for s in range(self.num_slots)
-                if region in self._hosts[s]]
-
     def slots_homed_at(self, region: int) -> List[int]:
         return [s for s, home in enumerate(self._home) if home == region]
 

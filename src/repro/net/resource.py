@@ -96,11 +96,6 @@ class ResourcePool:
         except KeyError:
             raise KeyError(f"unknown resource {name!r}") from None
 
-    def get_or_add(self, name: str, speedup: float = 1.0) -> Resource:
-        if name not in self._resources:
-            return self.add(name, speedup)
-        return self._resources[name]
-
     def names(self) -> List[str]:
         return sorted(self._resources)
 

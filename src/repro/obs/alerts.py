@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
@@ -161,12 +161,6 @@ class AlertManager:
         """All live alerts, most severe first, then oldest first."""
         return sorted(self._alerts.values(),
                       key=lambda a: (a.rank, a.first_us, a.alert_id))
-
-    def by_severity(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for alert in self._alerts.values():
-            out[alert.severity] = out.get(alert.severity, 0) + 1
-        return out
 
     def __len__(self) -> int:
         return len(self._alerts)

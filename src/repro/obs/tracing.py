@@ -143,12 +143,6 @@ class Tracer:
 
     # -- span lifecycle ----------------------------------------------------
 
-    def new_trace_id(self) -> int:
-        """Allocate a fresh trace id (one query / txn / daemon tick)."""
-        trace_id = self._next_trace
-        self._next_trace += 1
-        return trace_id
-
     def start_span(self, name: str, parent: Optional[Span] = None,
                    parent_ctx: Optional[TraceContext] = None,
                    node: Optional[str] = None,

@@ -224,15 +224,6 @@ class WaitEventRecorder:
         t_us = self.clock.now_us if self.clock is not None else 0.0
         self.samples.append((event, session, wait_us, t_us, stats.count))
 
-    def record_batch(self, event: str, count: int, total_us: float,
-                     max_us: float, session: Optional[object] = None) -> None:
-        """Fold a pre-aggregated batch of one event's observations in.
-
-        Single-event convenience front for :meth:`flush_batches`; both run
-        the same folding logic, so mixed call styles stay replay-identical.
-        """
-        self.flush_batches({event: (count, total_us, max_us)}, session)
-
     def flush_batches(self, acc, session: Optional[object] = None) -> None:
         """Fold a transaction's whole wait accumulator in, one call.
 

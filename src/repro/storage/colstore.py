@@ -1,13 +1,13 @@
 """Columnar store with numpy-backed chunks.
 
-The analytic side of FI-MPPDB: append-only column chunks that the vectorized
-execution engine (:mod:`repro.exec.vectorized`) scans with SIMD-style numpy
-kernels.  Chunks are optionally compressed at seal time and decompressed
-lazily on access.
+The analytic side of FI-MPPDB: column chunks whose decoded vectors the
+lane kernels of :mod:`repro.exec.batch` read as they are.  Chunks are
+optionally compressed at seal time and decoded once, on first access.
 
-The column store is not MVCC: OLAP tables are bulk-loaded, matching the
-paper's "OLAP queries over mostly-appended data" usage.  The HTAP path reads
-fresh transactional rows from the MVCC heap instead.
+A store holds no versions: a column table's rows live in the MVCC heap
+like a row table's, and the HTAP frozen set (:mod:`repro.htap.store`)
+serves a snapshot's view of them as a store over immutable chunks that
+merges and composed reads share.
 """
 
 from __future__ import annotations
@@ -72,11 +72,9 @@ class ColumnChunk:
         appended and replaced lanes typed, never a buffer shared with it.
 
         Only a ``plain`` numeric chunk derives, and only from a decoded
-        ``plain`` source: a codec may fold values the plain payload keeps
-        apart (``-0.0`` and ``0.0``).  Anything else decodes lazily."""
+        source.  Anything else decodes lazily."""
         parent = source._decoded
-        if (parent is None or source.codec != "plain"
-                or self.codec != "plain"
+        if (parent is None or self.codec != "plain"
                 or self.data_type is DataType.TEXT):
             return
         values = self.payload

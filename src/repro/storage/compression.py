@@ -9,16 +9,23 @@ three classic lightweight encodings used by analytic engines:
   e.g. timestamps.
 
 Codecs are lossless; :func:`best_codec` picks the smallest encoding for a
-chunk the way a storage engine's encoder would.
+chunk the way a storage engine's encoder would.  Lossless includes the
+sign of a zero: ``-0.0 == 0.0``, but a run or a dictionary entry never
+stands for both.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import StorageError
+
+
+def _same_sign(a: float, b: float) -> bool:
+    return math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 class RunLengthCodec:
@@ -30,7 +37,8 @@ class RunLengthCodec:
     def encode(values: Sequence[object]) -> List[Tuple[object, int]]:
         runs: List[Tuple[object, int]] = []
         for value in values:
-            if runs and runs[-1][0] == value:
+            if runs and runs[-1][0] == value and (
+                    value != 0 or _same_sign(runs[-1][0], value)):
                 runs[-1] = (value, runs[-1][1] + 1)
             else:
                 runs.append((value, 1))
@@ -67,6 +75,17 @@ class DictionaryCodec:
                 mapping[value] = code
                 dictionary.append(value)
             codes.append(code)
+        zero = mapping.get(0)
+        if zero is not None and isinstance(dictionary[zero], float):
+            # 0.0 and -0.0 share a key: the zero of the other sign gets a
+            # code of its own
+            first, other = dictionary[zero], None
+            for i, value in enumerate(values):
+                if codes[i] == zero and not _same_sign(value, first):
+                    if other is None:
+                        other = len(dictionary)
+                        dictionary.append(value)
+                    codes[i] = other
         return dictionary, codes
 
     @staticmethod

@@ -82,9 +82,6 @@ class TableSchema:
         except KeyError:
             raise CatalogError(f"table {self.name}: no column {name!r}") from None
 
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
     def coerce_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate and type-coerce a row dict against this schema."""
         out: Dict[str, object] = {}

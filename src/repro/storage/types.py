@@ -22,10 +22,6 @@ class DataType(enum.Enum):
     def numpy_dtype(self) -> np.dtype:
         return _NUMPY_DTYPES[self]
 
-    @property
-    def is_numeric(self) -> bool:
-        return self in (DataType.INT, DataType.BIGINT, DataType.DOUBLE, DataType.TIMESTAMP)
-
 
 _NUMPY_DTYPES = {
     DataType.INT: np.dtype(np.int64),

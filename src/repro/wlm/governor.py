@@ -184,11 +184,6 @@ class WlmGovernor:
     def group(self, name: Optional[str] = None) -> ResourceGroup:
         return self.config.get(name)
 
-    def add_group(self, group: ResourceGroup) -> ResourceGroup:
-        self.config.add(group)
-        self._groups[group.name] = _GroupState(group)
-        return group
-
     def set_slots(self, name: str, slots: int,
                   now_us: Optional[float] = None) -> List[Ticket]:
         """Retune a group's concurrency live; growth promotes waiters."""
@@ -395,9 +390,6 @@ class WlmGovernor:
 
     def queued_count(self, group: Optional[str] = None) -> int:
         return len(self._state(group).queue)
-
-    def total_running(self) -> int:
-        return sum(len(s.running) for s in self._groups.values())
 
     def queue_rows(self) -> List[Tuple[int, int, str, str, str, float, float]]:
         """``sys.wlm_queue`` rows, in event order."""

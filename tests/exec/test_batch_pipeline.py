@@ -5,7 +5,7 @@ Covers the two bugfix satellites directly:
 * the many-groups regression — the lane fold must give every lane its
   group id in one pass per batch (``_GroupIds``) instead of re-scanning
   the chunk per group (the old path was O(groups x rows));
-* NULL semantics — the vectorized/batch kernels and the row executor must
+* NULL semantics — the batch kernels and the row executor must
   agree on SQL three-valued logic; the parametrized suite runs the same
   query through both executors and requires identical rows.
 
@@ -25,13 +25,13 @@ from repro.cluster.mpp import MppCluster
 from repro.exec.batch import (
     Batch,
     batches_from_rows,
+    comparable,
     concat_batches,
     enable_batches,
     rows_from_batches,
     sort_indices,
 )
 from repro.exec.operators import PPartialAgg, PScan, walk_physical
-from repro.exec.vectorized import row_aggregate
 from repro.optimizer.expr import BoundColumn
 from repro.optimizer.logical import AggSpec, ColumnInfo
 from repro.sql.engine import SqlEngine
@@ -190,19 +190,6 @@ class TestNullSemanticsSharedByBothPaths:
             sql = f"select id, v from t order by v {direction}, id"
             assert engine.execute(sql).rows == row_rows(sql)
 
-    def test_row_aggregate_skips_null_like_vector(self):
-        schema = TableSchema("n", [Column("id", DataType.INT),
-                                   Column("v", DataType.DOUBLE)], "id")
-        cs = ColumnStore(schema, chunk_rows=8)
-        cs.append_rows([{"id": 1, "v": None}, {"id": 2, "v": 4.0},
-                        {"id": 3, "v": None}, {"id": 4, "v": 6.0}])
-        from repro.exec.vectorized import aggregate
-        preds = [("v", ">=", 0.0)]
-        assert aggregate(cs, "v", "count", preds) == \
-            row_aggregate(cs.scan_rows(), "v", "count", preds)
-        assert aggregate(cs, "v", "sum", preds) == \
-            row_aggregate(cs.scan_rows(), "v", "sum", preds)
-
 
 # -- batch bridges and kernels ---------------------------------------------
 
@@ -231,6 +218,16 @@ class TestBatchBridges:
         merged = concat_batches([one([1, 2]), one([3])], width=1)
         assert merged.n == 3
         assert merged.columns[0].data.tolist() == [1, 2, 3]
+
+    def test_comparable_keeps_ints_past_2_53_exact(self):
+        ints = np.array([2 ** 53 + 1, 3], dtype=np.int64)
+        doubles = np.array([2.0 ** 53, 3.0])
+        assert (ints == doubles).tolist() == [True, True]   # numpy rounds
+        a, b = comparable(ints, doubles)
+        assert (a == b).tolist() == [False, True]           # Python does not
+        small = np.array([2 ** 53, 3], dtype=np.int64)
+        a, b = comparable(small, doubles)
+        assert a is small and b is doubles
 
     def test_sort_indices_matches_python_composite(self):
         values = [5, None, 2, 5, None, 1, 2]

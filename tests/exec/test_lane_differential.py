@@ -55,6 +55,9 @@ STATEMENTS = [
     ("select d.tag, count(*), sum(f.x), avg(f.x), min(f.x), max(f.h) "
      "from f, d where f.k = d.k group by d.tag", True),
     ("select count(*), sum(f.x), min(d.tag) from f, d where f.k = d.k", True),
+    # a filter nothing passes: COUNT is 0, every other aggregate NULL
+    ("select count(*), count(x), sum(x), avg(x), min(x), max(h) from f "
+     "where x > 1000.0", True),
     ("select f.id, d.id from f, d where f.k = d.k and d.id < 0", True),
     ("select g, h, count(*), count(x), sum(x), avg(x), min(g), max(x) "
      "from f group by g, h", True),

@@ -1,5 +1,7 @@
 """Tests for the columnar compression codecs."""
 
+import math
+
 import pytest
 
 from repro.common.errors import StorageError
@@ -29,6 +31,11 @@ class TestRle:
         with pytest.raises(StorageError):
             RunLengthCodec.decode([("a", 0)])
 
+    def test_signed_zeros_stay_apart(self):
+        values = [0.0, -0.0, 0.0, -0.0]
+        decoded = RunLengthCodec.decode(RunLengthCodec.encode(values))
+        assert [math.copysign(1.0, v) for v in decoded] == [1.0, -1.0] * 2
+
 
 class TestDictionary:
     def test_round_trip(self):
@@ -36,6 +43,11 @@ class TestDictionary:
         dictionary, codes = DictionaryCodec.encode(values)
         assert DictionaryCodec.decode(dictionary, codes) == values
         assert len(dictionary) == 3
+
+    def test_signed_zeros_stay_apart(self):
+        values = [0.0, -0.0, 0.0, -0.0]
+        decoded = DictionaryCodec.decode(*DictionaryCodec.encode(values))
+        assert [math.copysign(1.0, v) for v in decoded] == [1.0, -1.0] * 2
 
     def test_code_out_of_range(self):
         with pytest.raises(StorageError):
