@@ -95,11 +95,10 @@ def build_engine(fast: bool) -> SqlEngine:
         f"({i}, '{'vip' if i % 20 == 0 else 'mass'}')"
         for i in range(CUSTOMERS)))
     engine.analyze()
-    if cluster.htap is not None:
-        # Merge the load into frozen column chunks: the read-only timed
-        # stream then scans the frozen store as-is instead of recomposing
-        # the full delta on every query (which would dominate both modes).
-        cluster.htap.tick()
+    # Merge the load into frozen column chunks: the read-only timed stream
+    # then scans the frozen store as-is instead of recomposing the full
+    # delta on every query (which would dominate both modes).
+    cluster.htap.tick()
     return engine
 
 

@@ -185,48 +185,29 @@ class AutonomousManager:
         report.concurrency_limit = self.workload.adjust(now_us)
         htap = getattr(self.cluster, "htap", None)
         if htap is not None:
-            # Drive the merge daemon, then AIMD the merge interval against
-            # the freshness SLA: halve it (and alert) while commits wait
-            # too long for column visibility, relax it slowly otherwise.
+            # Drive the merge daemon, then step the merge interval against
+            # the freshness SLA: commits must not wait too long for column
+            # visibility.
             report.htap_merges = htap.maybe_tick(now_us)
-            lag = htap.max_freshness_lag_us(now_us)
-            interval = htap.config.merge_interval_us
-            if lag > htap.config.freshness_sla_us:
-                report.htap_interval_us = htap.set_interval(interval / 2)
-                self._healing_log.append("tighten htap merge interval")
-                if self.alerts is not None:
-                    self.alerts.raise_alert(
-                        source="htap", severity="warning",
-                        message=(f"htap freshness lag {lag:.0f}us exceeds "
-                                 f"sla {htap.config.freshness_sla_us:.0f}us"),
-                        t_us=now_us, key="htap.freshness")
-            else:
-                report.htap_interval_us = htap.set_interval(interval * 1.25)
+            report.htap_interval_us = self._step_interval(
+                now_us, htap.max_freshness_lag_us(now_us),
+                htap.config.freshness_sla_us, htap.config.merge_interval_us,
+                htap.set_interval,
+                "htap", "freshness lag", "merge", "htap.freshness")
         geo = getattr(self.cluster, "geo", None)
-        if (geo is not None and geo.enabled
-                and geo.config.mode.value == "geogauss"):
-            # AIMD the epoch interval against the geo commit-latency SLA:
-            # a longer epoch amortizes the WAN better but every commit
-            # waits longer for its seal — so halve the interval (and alert)
-            # while p95 breaches, relax it slowly otherwise.
+        if geo is not None and geo.config.mode.value == "geogauss":
+            # Step the epoch interval against the geo commit-latency SLA: a
+            # longer epoch amortizes the WAN better but every commit waits
+            # longer for its seal.
             p95 = geo.commit_latency_p95()
             interval = geo.epoch_interval_us
             if p95 is not None:
                 report.geo_p95_commit_us = p95
                 self.info.record("geo.p95_commit_us", now_us, p95)
-                if p95 > geo.config.commit_latency_sla_us:
-                    report.geo_epoch_interval_us = geo.set_epoch_interval(
-                        interval / 2)
-                    self._healing_log.append("tighten geo epoch interval")
-                    if self.alerts is not None:
-                        self.alerts.raise_alert(
-                            source="geo", severity="warning",
-                            message=(f"geo p95 commit {p95:.0f}us exceeds "
-                                     f"sla {geo.config.commit_latency_sla_us:.0f}us"),
-                            t_us=now_us, key="geo.commit_sla")
-                else:
-                    report.geo_epoch_interval_us = geo.set_epoch_interval(
-                        interval * 1.25)
+                report.geo_epoch_interval_us = self._step_interval(
+                    now_us, p95, geo.config.commit_latency_sla_us, interval,
+                    geo.set_epoch_interval,
+                    "geo", "p95 commit", "epoch", "geo.commit_sla")
             else:
                 report.geo_epoch_interval_us = interval
         rebalance = getattr(self.cluster, "rebalance", None)
@@ -262,6 +243,24 @@ class AutonomousManager:
                                      reason="knob tuner proposal")
                 report.tuning = proposal
         return report
+
+    def _step_interval(self, now_us: float, signal: float, sla: float,
+                       interval: float, set_interval, source: str,
+                       signal_name: str, lever: str, key: str) -> float:
+        """One step of the interval AIMD law: halve ``interval`` (log it and
+        alert) while ``signal`` breaches ``sla``, relax it 1.25x otherwise.
+        Returns what ``set_interval`` settled on."""
+        if signal > sla:
+            settled = set_interval(interval / 2)
+            self._healing_log.append(f"tighten {source} {lever} interval")
+            if self.alerts is not None:
+                self.alerts.raise_alert(
+                    source=source, severity="warning",
+                    message=(f"{source} {signal_name} {signal:.0f}us "
+                             f"exceeds sla {sla:.0f}us"),
+                    t_us=now_us, key=key)
+            return settled
+        return set_interval(interval * 1.25)
 
     # -- self-healing ----------------------------------------------------------------
 

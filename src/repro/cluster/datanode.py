@@ -115,8 +115,8 @@ class DataNode:
             self._c_apply = self._c_scan = None
         #: Optional :class:`repro.htap.store.HtapNodeState` (attached by
         #: the cluster's HtapManager): per-table delta stores + frozen
-        #: column chunks.  ``None`` on replacement nodes until the merge
-        #: daemon re-seeds them, and always ``None`` with HTAP disabled.
+        #: column chunks.  ``None`` until the node holds a column table, and
+        #: on replacement nodes until the merge daemon re-seeds them.
         self.htap = None
 
     def _flush_tuple_counts(self) -> None:

@@ -57,9 +57,7 @@ class MppCluster:
         profile: EnvironmentProfile = DEFAULT_PROFILE,
         obs_enabled: bool = True,
         obs_config=None,
-        wlm_enabled: bool = True,
         wlm_config: Optional[WlmConfig] = None,
-        htap_enabled: bool = True,
         htap_config=None,
         name: str = "",
     ):
@@ -120,30 +118,24 @@ class MppCluster:
         self.geo = None
         #: Workload governance (``repro.wlm``): admission control, memory
         #: budgets and cancellation for every statement the SQL engine runs.
-        #: ``wlm_enabled=False`` drops it, replaying the ungoverned engine.
-        self.wlm: Optional[WlmGovernor] = None
-        if wlm_enabled:
-            self.wlm = WlmGovernor(
-                config=wlm_config,
-                clock=self.obs.clock if self.obs is not None else None,
-                metrics=self.obs.metrics if self.obs is not None else None,
-                waits=self.obs.waits if self.obs is not None else None,
-                alerts=self.obs.alerts if self.obs is not None else None,
-                faults_fn=lambda: self.faults,
-            )
-            if self.obs is not None:
-                self.obs.bind_wlm(self.wlm)
+        self.wlm = WlmGovernor(
+            config=wlm_config,
+            clock=self.obs.clock if self.obs is not None else None,
+            metrics=self.obs.metrics if self.obs is not None else None,
+            waits=self.obs.waits if self.obs is not None else None,
+            alerts=self.obs.alerts if self.obs is not None else None,
+            faults_fn=lambda: self.faults,
+        )
+        if self.obs is not None:
+            self.obs.bind_wlm(self.wlm)
         #: Dual-format delta-merge storage (``repro.htap``): column-oriented
         #: tables keep persistent frozen chunks + a committed-write delta per
-        #: node.  ``htap_enabled=False`` drops it, replaying the per-query
-        #: cold-rebuild path byte-identically.
-        self.htap = None
-        if htap_enabled:
-            from repro.htap.manager import HtapManager
+        #: node.  A row-oriented table gets no HTAP state.
+        from repro.htap.manager import HtapManager
 
-            self.htap = HtapManager(self, config=htap_config)
-            if self.obs is not None:
-                self.obs.bind_htap(self.htap)
+        self.htap = HtapManager(self, config=htap_config)
+        if self.obs is not None:
+            self.obs.bind_htap(self.htap)
         #: How coordinators ride out unresponsive participants.
         self.retry_policy = RetryPolicy()
         #: Live :class:`GlobalTransaction` handles by GXID, so failover and
@@ -191,8 +183,7 @@ class MppCluster:
         self.num_dns = len(self.dns)
         self.dn_resources.append(self.resources.add(f"dn{index}"))
         self.catalog.shard_map.add_member(index)
-        if self.htap is not None:
-            self.htap.ensure_node(dn)
+        self.htap.ensure_node(dn)
         if self.ha is not None:
             self.ha.attach_node(index)
         self._seed_replicated(index)
@@ -257,14 +248,12 @@ class MppCluster:
         for dn in self.dns:
             if not dn.retired:
                 dn.create_table(schema)
-        if self.htap is not None:
-            self.htap.register_table(schema)
+        self.htap.register_table(schema)
 
     def drop_table(self, name: str) -> None:
         schema = self.catalog.schema(name)
         self.catalog.unregister(schema.name)
-        if self.htap is not None:
-            self.htap.unregister_table(schema.name)
+        self.htap.unregister_table(schema.name)
         for dn in self.dns:
             if not dn.retired:
                 dn.drop_table(schema.name)
@@ -396,10 +385,8 @@ class MppCluster:
             self.obs.reset()
         if self.faults is not None:
             self.faults.reset_history()
-        if self.wlm is not None:
-            self.wlm.reset_history()   # idempotent with the obs.reset path
-        if self.htap is not None:
-            self.htap.reset_history()  # idempotent with the obs.reset path
+        self.wlm.reset_history()   # idempotent with the obs.reset path
+        self.htap.reset_history()  # idempotent with the obs.reset path
         if self.rebalance is not None:
             self.rebalance.reset_history()  # idempotent with obs.reset
         self.gtm.stats.reset()

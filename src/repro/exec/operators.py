@@ -31,8 +31,9 @@ class PhysicalOp:
     #: Set by :func:`repro.wlm.attach_to_plan` when workload management
     #: governs the query: ``wlm_ctx`` enables per-row cancellation
     #: checkpoints and memory accounting, ``_wlm_dn`` is the data node this
-    #: operator's fragment runs on (spill is charged there).  Class-level
-    #: defaults keep ungoverned execution on the exact pre-WLM path.
+    #: operator's fragment runs on (spill is charged there).  An operator
+    #: run outside ``SqlEngine.execute`` (built directly, as unit tests
+    #: do) keeps these class-level defaults and is not governed.
     wlm_ctx = None
     _wlm_dn: Optional[int] = None
     #: Spill accounting (``repro.wlm.memory``): bytes this operator spilled

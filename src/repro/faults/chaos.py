@@ -1,11 +1,13 @@
 """Randomized fault-schedule generation and post-chaos recovery.
 
 The chaos property suite (``tests/property/test_chaos_2pc.py``) feeds a
-seeded :class:`random.Random` to :func:`arm_random_faults` to draw a fault
-schedule — which failpoints fire, with what action, against which node —
-then runs a workload, then calls :func:`recover_cluster` and asserts the
-three invariants: no GTM-committed write lost, no residual PREPARED state,
-and no snapshot ever observing a partially-committed global transaction.
+seeded :class:`random.Random` and a :class:`ChaosMenu` to
+:func:`arm_random_faults` to draw a fault schedule — which failpoints
+fire, with what action, against which node — then runs a workload, then
+calls :func:`recover_cluster` and asserts the three invariants: no
+GTM-committed write lost, no residual PREPARED state, and no snapshot ever
+observing a partially-committed global transaction.  The resharding, HTAP
+and geo suites draw from their own menus the same way.
 
 All ``repro.cluster`` imports are deferred into function bodies:
 ``cluster.txn`` imports :mod:`repro.faults.injector`, so importing cluster
@@ -15,7 +17,8 @@ modules at the top here would complete a cycle.
 from __future__ import annotations
 
 import random
-from typing import List
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.faults.injector import (
     ACT_CRASH_COORDINATOR,
@@ -44,22 +47,45 @@ from repro.faults.injector import (
     FaultRule,
 )
 
-# The menu the schedule generator draws from: (failpoint, action,
-# node-scoped?).  Node-scoped rules are pinned to one random DN so a crash
-# takes out a specific participant rather than whichever fires first.
-FAULT_MENU = (
-    (FP_PREPARE_BEFORE, ACT_CRASH_DN, True),
-    (FP_PREPARE_AFTER, ACT_CRASH_DN, True),
-    (FP_PREPARE_BEFORE, ACT_TIMEOUT, True),
-    (FP_CONFIRM_BEFORE, ACT_CRASH_DN, True),
-    (FP_CONFIRM_AFTER, ACT_CRASH_DN, True),
-    (FP_CONFIRM_BEFORE, ACT_TIMEOUT, True),
-    (FP_CONFIRM_BEFORE, ACT_DROP, True),
-    (FP_COORD_AFTER_PREPARE, ACT_CRASH_COORDINATOR, False),
-    (FP_COORD_AFTER_GTM_COMMIT, ACT_CRASH_COORDINATOR, False),
-    (FP_COORD_BETWEEN_CONFIRMS, ACT_CRASH_COORDINATOR, False),
-    (FP_GTM_COMMIT, ACT_TIMEOUT, False),
-    (FP_REPLICATE, ACT_PARTITION, True),
+
+@dataclass(frozen=True)
+class ChaosMenu:
+    """What a fault-schedule draw picks from.
+
+    ``rules`` are ``(failpoint, action, scoped?)`` entries; a scoped rule
+    is pinned to one random ``scope_key`` value (a DN index, a region) so
+    a crash takes out a specific participant rather than whichever fires
+    first.  An action in ``times_actions`` fires ``times`` drawn from
+    ``times_bag`` (a skewed bag, so some schedules exhaust a retry budget
+    while most recover within it); every other action fires once.  A
+    ``delay`` rule's extra latency is drawn from ``delay_bag``.
+    """
+
+    rules: Tuple[Tuple[str, str, bool], ...]
+    times_bag: Tuple[int, ...]
+    times_actions: Tuple[str, ...]
+    delay_bag: Tuple[float, ...] = ()
+    scope_key: str = "dn"
+
+
+# The 2PC menu (``tests/property/test_chaos_2pc.py``).
+FAULT_MENU = ChaosMenu(
+    rules=(
+        (FP_PREPARE_BEFORE, ACT_CRASH_DN, True),
+        (FP_PREPARE_AFTER, ACT_CRASH_DN, True),
+        (FP_PREPARE_BEFORE, ACT_TIMEOUT, True),
+        (FP_CONFIRM_BEFORE, ACT_CRASH_DN, True),
+        (FP_CONFIRM_AFTER, ACT_CRASH_DN, True),
+        (FP_CONFIRM_BEFORE, ACT_TIMEOUT, True),
+        (FP_CONFIRM_BEFORE, ACT_DROP, True),
+        (FP_COORD_AFTER_PREPARE, ACT_CRASH_COORDINATOR, False),
+        (FP_COORD_AFTER_GTM_COMMIT, ACT_CRASH_COORDINATOR, False),
+        (FP_COORD_BETWEEN_CONFIRMS, ACT_CRASH_COORDINATOR, False),
+        (FP_GTM_COMMIT, ACT_TIMEOUT, False),
+        (FP_REPLICATE, ACT_PARTITION, True),
+    ),
+    times_bag=(1, 1, 2, 5),
+    times_actions=(ACT_TIMEOUT,),
 )
 
 # The resharding menu (``tests/property/test_chaos_rebalance.py``): faults
@@ -67,92 +93,76 @@ FAULT_MENU = (
 # that land inside the double-write window.  A coordinator killed mid-move
 # must leave an unambiguous slot owner and — after ``recover_cluster`` plus
 # ``RebalanceCoordinator.recover`` — neither lose nor duplicate a row.
-REBALANCE_FAULT_MENU = (
-    (FP_REBALANCE_COPY, ACT_CRASH_COORDINATOR, False),
-    (FP_REBALANCE_COPY, ACT_TIMEOUT, False),
-    (FP_REBALANCE_COPY, ACT_DROP, False),
-    (FP_REBALANCE_FLIP, ACT_CRASH_COORDINATOR, False),
-    (FP_REBALANCE_FLIP, ACT_TIMEOUT, False),
-    (FP_PREPARE_BEFORE, ACT_CRASH_DN, True),
-    (FP_CONFIRM_BEFORE, ACT_TIMEOUT, True),
-    (FP_COORD_AFTER_PREPARE, ACT_CRASH_COORDINATOR, False),
+REBALANCE_FAULT_MENU = ChaosMenu(
+    rules=(
+        (FP_REBALANCE_COPY, ACT_CRASH_COORDINATOR, False),
+        (FP_REBALANCE_COPY, ACT_TIMEOUT, False),
+        (FP_REBALANCE_COPY, ACT_DROP, False),
+        (FP_REBALANCE_FLIP, ACT_CRASH_COORDINATOR, False),
+        (FP_REBALANCE_FLIP, ACT_TIMEOUT, False),
+        (FP_PREPARE_BEFORE, ACT_CRASH_DN, True),
+        (FP_CONFIRM_BEFORE, ACT_TIMEOUT, True),
+        (FP_COORD_AFTER_PREPARE, ACT_CRASH_COORDINATOR, False),
+    ),
+    times_bag=(1, 1, 2),
+    times_actions=(ACT_TIMEOUT, ACT_DROP),
 )
-
-
-def arm_random_rebalance_faults(injector: FaultInjector, rng: random.Random,
-                                num_dns: int,
-                                max_faults: int = 2) -> List[FaultRule]:
-    """Arm 1..max_faults rules drawn from :data:`REBALANCE_FAULT_MENU`."""
-    rules = []
-    for _ in range(rng.randint(1, max_faults)):
-        failpoint, action, node_scoped = rng.choice(REBALANCE_FAULT_MENU)
-        match = {"dn": rng.randrange(num_dns)} if node_scoped else None
-        times = rng.choice((1, 1, 2)) if action in (ACT_TIMEOUT, ACT_DROP) else 1
-        rules.append(injector.arm(failpoint, action, times=times, match=match))
-    return rules
-
 
 # The HTAP menu (``tests/property/test_chaos_htap.py``): faults against the
 # delta-merge daemon.  A crash mid-merge must lose no rows and leave no
 # stuck watermark; stalls and drops only delay column freshness.
-HTAP_FAULT_MENU = (
-    (FP_HTAP_MERGE, ACT_CRASH_DN, True),
-    (FP_HTAP_MERGE, ACT_TIMEOUT, True),
-    (FP_HTAP_MERGE, ACT_DROP, True),
-    (FP_HTAP_MERGE, ACT_DELAY, True),
-    (FP_HTAP_FRESHNESS, ACT_TIMEOUT, True),
-    (FP_HTAP_FRESHNESS, ACT_DROP, True),
+HTAP_FAULT_MENU = ChaosMenu(
+    rules=(
+        (FP_HTAP_MERGE, ACT_CRASH_DN, True),
+        (FP_HTAP_MERGE, ACT_TIMEOUT, True),
+        (FP_HTAP_MERGE, ACT_DROP, True),
+        (FP_HTAP_MERGE, ACT_DELAY, True),
+        (FP_HTAP_FRESHNESS, ACT_TIMEOUT, True),
+        (FP_HTAP_FRESHNESS, ACT_DROP, True),
+    ),
+    times_bag=(1, 1, 2, 5),
+    times_actions=(ACT_TIMEOUT, ACT_DROP),
+    delay_bag=(500.0, 2_000.0, 10_000.0),
 )
-
-
-def arm_random_htap_faults(injector: FaultInjector, rng: random.Random,
-                           num_dns: int, max_faults: int = 2) -> List[FaultRule]:
-    """Arm 1..max_faults rules drawn from :data:`HTAP_FAULT_MENU`."""
-    rules = []
-    for _ in range(rng.randint(1, max_faults)):
-        failpoint, action, node_scoped = rng.choice(HTAP_FAULT_MENU)
-        match = {"dn": rng.randrange(num_dns)} if node_scoped else None
-        times = rng.choice((1, 1, 2, 5)) if action in (ACT_TIMEOUT, ACT_DROP) else 1
-        delay_us = rng.choice((500.0, 2_000.0, 10_000.0)) if action == ACT_DELAY else 0.0
-        rules.append(injector.arm(failpoint, action, times=times, match=match,
-                                  delay_us=delay_us))
-    return rules
-
 
 # The geo menu (``tests/property/test_chaos_geo.py``): faults against the
 # epoch pipeline — batches lost or delayed on the WAN, certification
 # stalls, and whole-region epoch-coordinator crashes.  Whatever the
 # schedule, every region that certifies an epoch must produce the same
 # digest, and no transaction acknowledged committed may lose its writes.
-GEO_FAULT_MENU = (
-    (FP_GEO_SHIP, ACT_TIMEOUT, True),
-    (FP_GEO_SHIP, ACT_DROP, True),
-    (FP_GEO_SHIP, ACT_DELAY, True),
-    (FP_GEO_SHIP, ACT_CRASH_COORDINATOR, True),
-    (FP_GEO_CERTIFY, ACT_TIMEOUT, True),
-    (FP_GEO_CERTIFY, ACT_DELAY, True),
-    (FP_GEO_APPLY, ACT_TIMEOUT, True),
-    (FP_GEO_APPLY, ACT_DELAY, True),
+# Every geo failpoint carries a ``region`` context key, so every rule is
+# region-scoped.
+GEO_FAULT_MENU = ChaosMenu(
+    rules=(
+        (FP_GEO_SHIP, ACT_TIMEOUT, True),
+        (FP_GEO_SHIP, ACT_DROP, True),
+        (FP_GEO_SHIP, ACT_DELAY, True),
+        (FP_GEO_SHIP, ACT_CRASH_COORDINATOR, True),
+        (FP_GEO_CERTIFY, ACT_TIMEOUT, True),
+        (FP_GEO_CERTIFY, ACT_DELAY, True),
+        (FP_GEO_APPLY, ACT_TIMEOUT, True),
+        (FP_GEO_APPLY, ACT_DELAY, True),
+    ),
+    times_bag=(1, 1, 2, 5),
+    times_actions=(ACT_TIMEOUT, ACT_DROP),
+    delay_bag=(1_000.0, 15_000.0, 60_000.0),
+    scope_key="region",
 )
 
 
-def arm_random_geo_faults(injector: FaultInjector, rng: random.Random,
-                          num_regions: int,
-                          max_faults: int = 2) -> List[FaultRule]:
-    """Arm 1..max_faults rules drawn from :data:`GEO_FAULT_MENU`.
-
-    Region-scoped rules pin to one random region (the menu is entirely
-    region-scoped: every geo failpoint carries a ``region`` context key).
-    """
+def arm_random_faults(injector: FaultInjector, rng: random.Random,
+                      menu: ChaosMenu, scope_size: int,
+                      max_faults: int = 2) -> List[FaultRule]:
+    """Arm 1..max_faults rules drawn from ``menu``; a scoped rule pins to
+    one of ``scope_size`` DNs or regions."""
     rules = []
     for _ in range(rng.randint(1, max_faults)):
-        failpoint, action, region_scoped = rng.choice(GEO_FAULT_MENU)
-        match = {"region": rng.randrange(num_regions)} if region_scoped \
-            else None
-        times = rng.choice((1, 1, 2, 5)) if action in (ACT_TIMEOUT, ACT_DROP) \
+        failpoint, action, scoped = rng.choice(menu.rules)
+        match = ({menu.scope_key: rng.randrange(scope_size)} if scoped
+                 else None)
+        times = rng.choice(menu.times_bag) if action in menu.times_actions \
             else 1
-        delay_us = rng.choice((1_000.0, 15_000.0, 60_000.0)) \
-            if action == ACT_DELAY else 0.0
+        delay_us = rng.choice(menu.delay_bag) if action == ACT_DELAY else 0.0
         rules.append(injector.arm(failpoint, action, times=times, match=match,
                                   delay_us=delay_us))
     return rules
@@ -163,23 +173,6 @@ def recover_geo(geo) -> None:
     every WAN cut, revive crashed regions, and drain the epoch pipeline to
     its fixpoint."""
     geo.recover_all()
-
-
-def arm_random_faults(injector: FaultInjector, rng: random.Random,
-                      num_dns: int, max_faults: int = 2) -> List[FaultRule]:
-    """Arm 1..max_faults rules drawn from :data:`FAULT_MENU`.
-
-    Timeout rules draw their ``times`` from a skewed bag so some schedules
-    exhaust the coordinator's retry budget (escalation to failover) while
-    most recover within it.
-    """
-    rules = []
-    for _ in range(rng.randint(1, max_faults)):
-        failpoint, action, node_scoped = rng.choice(FAULT_MENU)
-        match = {"dn": rng.randrange(num_dns)} if node_scoped else None
-        times = rng.choice((1, 1, 2, 5)) if action == ACT_TIMEOUT else 1
-        rules.append(injector.arm(failpoint, action, times=times, match=match))
-    return rules
 
 
 def recover_cluster(cluster) -> None:

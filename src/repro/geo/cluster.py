@@ -95,10 +95,6 @@ class GeoConfig:
     certify_per_txn_us: float = 10.0
     #: Distributed-transaction protocol inside each region.
     txn_mode: TxnMode = TxnMode.GTM_LITE
-    #: ``False`` degenerates to one plain, unnamed MppCluster with no geo
-    #: runtime at all — the seed path, replayed result- and
-    #: telemetry-identically.
-    geo_enabled: bool = True
 
     @property
     def one_way_us(self) -> float:
@@ -160,22 +156,7 @@ class GeoCluster:
         cfg = self.config
         if cfg.num_regions <= 0:
             raise ConfigError("num_regions must be positive")
-        if not cfg.geo_enabled and cfg.num_regions != 1:
-            raise ConfigError("geo_enabled=False requires num_regions == 1")
-        self.enabled = cfg.geo_enabled
-        if not self.enabled:
-            # The degenerate single-region deployment IS the seed cluster:
-            # unnamed (seed fabric/node names), no geo runtime bound, no
-            # geo telemetry — byte-identical replays of the seed path.
-            self.regions: List[MppCluster] = [MppCluster(
-                num_dns=cfg.dns_per_region, num_cns=cfg.cns_per_region,
-                mode=cfg.txn_mode)]
-            self.shard_map = None
-            self.fabric = None
-            self.epochs = []
-            self.faults = None
-            return
-        self.regions = [
+        self.regions: List[MppCluster] = [
             MppCluster(num_dns=cfg.dns_per_region, num_cns=cfg.cns_per_region,
                        mode=cfg.txn_mode, name=f"r{i}")
             for i in range(cfg.num_regions)
@@ -254,15 +235,8 @@ class GeoCluster:
     # ------------------------------------------------------------------
     # sessions
 
-    def session(self, region: int = 0, start_us: float = 0.0):
-        """A client session homed at ``region``.
-
-        With the geo layer disabled this is a plain region session — the
-        seed code path, untouched.
-        """
-        if not self.enabled:
-            return self.regions[0].session(track_costs=True,
-                                           start_us=start_us)
+    def session(self, region: int = 0, start_us: float = 0.0) -> GeoSession:
+        """A client session homed at ``region``."""
         return GeoSession(self, region, start_us=start_us)
 
     # ------------------------------------------------------------------
@@ -295,7 +269,7 @@ class GeoCluster:
         certify events that made progress, so callers can drain to a
         fixpoint.
         """
-        if not self.enabled or self.config.mode is not GeoMode.GEOGAUSS:
+        if self.config.mode is not GeoMode.GEOGAUSS:
             return 0
         if now_us > self._now_us:
             self._now_us = now_us
@@ -561,8 +535,8 @@ class GeoCluster:
         (consistency over availability: nothing is guessed, the stalled
         epochs wait for heal/recovery).
         """
-        if not self.enabled or self.config.mode is not GeoMode.GEOGAUSS:
-            return self._now_us if self.enabled else 0.0
+        if self.config.mode is not GeoMode.GEOGAUSS:
+            return self._now_us
         goal = -1
         for manager in self.epochs:
             open_ts = manager.max_open_ts()
@@ -659,8 +633,6 @@ class GeoCluster:
 
     def recover_all(self, now_us: Optional[float] = None) -> None:
         """Post-chaos sweep: heal links, revive regions, settle epochs."""
-        if not self.enabled:
-            return
         if self.faults is not None:
             self.faults.disarm_all()
         self.fabric.heal_all()
@@ -680,7 +652,7 @@ class GeoCluster:
         cfg = self.config
         interval_us = min(cfg.max_epoch_interval_us,
                           max(cfg.min_epoch_interval_us, interval_us))
-        if not self.enabled or self.config.mode is not GeoMode.GEOGAUSS:
+        if self.config.mode is not GeoMode.GEOGAUSS:
             return interval_us
         if interval_us != self.epochs[0].interval_us:
             rebase_epoch = max(m.last_sealed for m in self.epochs) + 1
@@ -696,7 +668,7 @@ class GeoCluster:
 
     @property
     def epoch_interval_us(self) -> float:
-        if self.enabled and self.config.mode is GeoMode.GEOGAUSS:
+        if self.config.mode is GeoMode.GEOGAUSS:
             return self.epochs[0].interval_us
         return self.config.epoch_interval_us
 

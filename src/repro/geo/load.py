@@ -58,8 +58,7 @@ def load_tpcc_geo(geo, num_warehouses: int, seed: int = 7) -> None:
         txn.commit()
 
         for w_id in range(num_warehouses):
-            if geo.enabled and not geo.shard_map.hosts_value(region_index,
-                                                             w_id):
+            if not geo.shard_map.hosts_value(region_index, w_id):
                 continue
             txn = session.begin(multi_shard=True)
             txn.insert("warehouse", {"w_id": w_id, "w_ytd": 0.0,

@@ -43,8 +43,6 @@ class ObsConfig:
     * ``wait_reservoir_size`` — per-event reservoir of raw wait values
       (exact percentiles over a bounded uniform sample).
     * ``max_spans`` — slots in the tracer's finished-span ring buffer.
-    * ``trace_enabled`` — master switch for span capture; counters and
-      wait accounting continue when off.
     """
 
     wait_sample_every: int = 8
@@ -52,7 +50,6 @@ class ObsConfig:
     wait_detail_capacity: int = 4096
     wait_reservoir_size: int = 256
     max_spans: int = 10_000
-    trace_enabled: bool = True
     high_frequency_events: Tuple[str, ...] = field(
         default=HIGH_FREQUENCY_WAIT_EVENTS)
 
@@ -77,7 +74,6 @@ class ObsConfig:
         return [
             ("high_frequency_events", ",".join(self.high_frequency_events)),
             ("max_spans", str(self.max_spans)),
-            ("trace_enabled", str(self.trace_enabled).lower()),
             ("wait_detail_capacity", str(self.wait_detail_capacity)),
             ("wait_reservoir_size", str(self.wait_reservoir_size)),
             ("wait_sample_every", str(self.wait_sample_every)),

@@ -106,11 +106,9 @@ class SqlEngine:
         #: ``sys.*`` system views served from live observability state.
         self.syscat: Optional[SystemCatalog] = (
             SystemCatalog(self.obs) if self.obs is not None else None)
-        #: The cluster's workload governor (``repro.wlm``).  When present,
-        #: every statement passes through admission control; ``None`` (or a
-        #: cluster built with ``wlm_enabled=False``) replays the ungoverned
-        #: pre-WLM execution path exactly.
-        self.wlm = getattr(cluster, "wlm", None)
+        #: The cluster's workload governor (``repro.wlm``): every statement
+        #: passes through its admission control.
+        self.wlm = cluster.wlm
         self._wlm_ticket = None
         self._wlm_ctx = None
         self._current_sql = ""
@@ -141,13 +139,12 @@ class SqlEngine:
                 priority=None, arrival_us: Optional[float] = None) -> Result:
         """Run one statement.
 
-        With workload management active, the statement first passes
-        admission control for ``group`` (default group when ``None``):
-        a concurrency slot and memory budget are reserved before execution
-        and released on every exit path — success, error, timeout,
-        cancellation, injected crash.  ``arrival_us`` back/forward-dates the
-        submission (burst simulation); ``priority`` overrides the group's
-        queue priority.
+        The statement first passes admission control for ``group``
+        (default group when ``None``): a concurrency slot and memory budget
+        are reserved before execution and released on every exit path —
+        success, error, timeout, cancellation, injected crash.
+        ``arrival_us`` back/forward-dates the submission (burst
+        simulation); ``priority`` overrides the group's queue priority.
         """
         self._current_sql = sql
         self._cached = None
@@ -170,8 +167,6 @@ class SqlEngine:
                     self.plan_cache.note_miss()
             else:
                 self._cache_key = None
-        if self.wlm is None:
-            return self._dispatch(statement)
         ticket = self.wlm.submit(group=group, now_us=arrival_us,
                                  priority=priority,
                                  tag=" ".join(sql.split())[:80])
@@ -520,16 +515,14 @@ class SqlEngine:
             # its snapshot work (via activate), the operator tree (via the
             # profiler's root_span), per-DN fragments (via parent_ctx).
             query_span = tracer.start_span("query", parent=None, node=cn_node)
-            if self._wlm_ticket is not None:
-                # Admission preceded execution; surface it as a child edge
-                # covering the simulated queue wait (0-length when the
-                # statement was admitted immediately).
-                queue_span = tracer.start_span(
-                    "wlm.queue", parent=query_span,
-                    group=self._wlm_ticket.group)
-                tracer.end_span(
-                    queue_span,
-                    end_us=queue_span.start_us + self._wlm_ticket.wait_us)
+            # Admission preceded execution; surface it as a child edge
+            # covering the simulated queue wait (0-length when the
+            # statement was admitted immediately).
+            queue_span = tracer.start_span(
+                "wlm.queue", parent=query_span, group=self._wlm_ticket.group)
+            tracer.end_span(
+                queue_span,
+                end_us=queue_span.start_us + self._wlm_ticket.wait_us)
             tracer.activate(query_span)
         profiler = QueryProfiler(
             tracer=tracer,
@@ -551,8 +544,7 @@ class SqlEngine:
                 enable_batches(physical)
                 outline = PlanOutline(physical)
             profiler.attach(outline)
-            if self._wlm_ctx is not None:
-                attach_to_plan(self._wlm_ctx, outline)
+            attach_to_plan(self._wlm_ctx, outline)
             # The plan picks the transaction: one data node, one shard.  No
             # promotion re-run as for DML: reads pinned to one node never
             # leave it, and read no double-write window.
@@ -577,8 +569,7 @@ class SqlEngine:
             if query_span is not None:
                 tracer.deactivate(query_span)
         profile = profiler.profile()
-        if self._wlm_ticket is not None:
-            profile.queue_time_us = self._wlm_ticket.wait_us
+        profile.queue_time_us = self._wlm_ticket.wait_us
         if self.obs is not None:
             # Latency is the wall-clock view: concurrent fragments count
             # once (their max), unlike total_time_us which sums all work.

@@ -411,10 +411,6 @@ class TestAutonomousAimd:
 
 
 class TestConfigValidation:
-    def test_disabled_requires_single_region(self):
-        with pytest.raises(ConfigError):
-            GeoCluster(GeoConfig(num_regions=2, geo_enabled=False))
-
     def test_session_region_bounds(self):
         geo = build(num_regions=2)
         with pytest.raises(ConfigError):

@@ -3,17 +3,13 @@
 The certifier is a pure function of the epoch's batch set and the epoch
 machine runs on simulated time, so an identical submission schedule must
 replay an identical ``sys.geo_epochs`` log — across 2- and 3-region
-topologies — and ``geo_enabled=False`` must replay the seed single-cluster
-path result- and telemetry-identically.
+topologies.
 """
 
-from repro.cluster.mpp import MppCluster
 from repro.common.rng import make_rng
 from repro.geo import GeoCluster, GeoConfig
 from repro.sql.engine import SqlEngine
 from repro.storage import Column, DataType, TableSchema
-from repro.workloads.driver import run_oltp
-from repro.workloads.tpcc_lite import TpccLiteWorkload, load_tpcc
 
 
 def _schema():
@@ -84,42 +80,3 @@ class TestReplayDeterminism:
         a = _fingerprint(*_run_geo(3, seed=1))
         b = _fingerprint(*_run_geo(3, seed=2))
         assert a != b
-
-
-class TestDisabledPathIdentity:
-    """``geo_enabled=False`` is the seed cluster, bit for bit."""
-
-    @staticmethod
-    def _run_oltp(cluster):
-        load_tpcc(cluster, num_warehouses=4)
-        workload = TpccLiteWorkload(num_warehouses=4,
-                                    multi_shard_fraction=0.2, seed=11)
-        return run_oltp(cluster, workload, clients_per_dn=2,
-                        txns_per_client=5)
-
-    @staticmethod
-    def _sys_snapshot(cluster):
-        engine = SqlEngine(cluster, learning_enabled=False)
-        return {
-            view: engine.execute(f"SELECT * FROM {view}").rows
-            for view in ("sys.wait_events", "sys.metrics",
-                         "sys.slow_queries", "sys.alerts")
-        }
-
-    def test_disabled_matches_plain_cluster_results_and_telemetry(self):
-        geo = GeoCluster(GeoConfig(num_regions=1, dns_per_region=2,
-                                   geo_enabled=False))
-        plain = MppCluster(num_dns=2)
-        result_geo = self._run_oltp(geo.regions[0])
-        result_plain = self._run_oltp(plain)
-        assert result_geo.as_dict() == result_plain.as_dict()
-        assert self._sys_snapshot(geo.regions[0]) \
-            == self._sys_snapshot(plain)
-
-    def test_disabled_registers_no_geo_views_or_metrics(self):
-        geo = GeoCluster(GeoConfig(num_regions=1, geo_enabled=False))
-        engine = SqlEngine(geo.regions[0], learning_enabled=False)
-        rows = engine.query("SELECT name FROM sys.metrics "
-                            "WHERE name LIKE 'geo.%'")
-        assert rows == []
-        assert geo.regions[0].obs.geo is None

@@ -7,7 +7,8 @@ become checkable:
 
 * the composed store equals the heap-walk store *chunk for chunk*, and a
   lane scan yields one batch per composed chunk with the heap walk's rows;
-  the SQL aggregates stay bit-equal to ``htap_enabled=False``;
+  the SQL aggregates stay bit-equal to a row-oriented twin, whose table
+  gets no HTAP state and so runs the seed path;
 * a merge shares (``is``) every chunk it did not have to touch;
 * only a full chunk is compressed, and exactly once;
 * a store handed to a reader never changes under later commits and merges;
@@ -37,17 +38,17 @@ def small_chunks():
         yield
 
 
-def schema(name="c"):
+def schema(name="c", orientation=Orientation.COLUMN):
     return TableSchema(
         name,
         [Column("k", DataType.INT), Column("v", DataType.INT),
          Column("w", DataType.DOUBLE), Column("s", DataType.TEXT)],
-        "k", orientation=Orientation.COLUMN)
+        "k", orientation=orientation)
 
 
-def build(num_dns=1, **kwargs):
-    cluster = MppCluster(num_dns=num_dns, **kwargs)
-    cluster.create_table(schema())
+def build(num_dns=1, orientation=Orientation.COLUMN):
+    cluster = MppCluster(num_dns=num_dns)
+    cluster.create_table(schema(orientation=orientation))
     return cluster
 
 
@@ -64,11 +65,10 @@ def commit(cluster, *ops):
     txn.commit()
 
 
-def load(cluster, count, merge=True):
+def load(cluster, count):
     commit(cluster, *(("insert", row(k, k, k / 4.0, f"s{k % 3}"))
                       for k in range(count)))
-    if merge:
-        cluster.htap.tick()
+    cluster.htap.tick()
 
 
 def chunk_lengths(store):
@@ -131,17 +131,17 @@ STEPS = st.lists(st.one_of(
 
 class Twin:
     """One cluster fed a step stream.  Keys come from a counter and picks
-    index the live keys, so the same stream drives an HTAP cluster and a
-    disabled one in lockstep."""
+    index the live keys, so the same stream drives a column table and its
+    row-oriented twin in lockstep."""
 
-    def __init__(self, num_dns, preload, **kwargs):
-        self.cluster = build(num_dns, **kwargs)
+    def __init__(self, num_dns, preload, orientation=Orientation.COLUMN):
+        self.cluster = build(num_dns, orientation)
         self.engine = SqlEngine(self.cluster)
         self.live = []
         self.next_key = preload
         self.late = None          # (open transaction, the key it inserted)
         if preload:
-            load(self.cluster, preload, merge=self.cluster.htap is not None)
+            load(self.cluster, preload)
             self.live = list(range(preload))
 
     def apply(self, step, marker):
@@ -216,7 +216,7 @@ class TestRandomStreams:
     def test_served_store_is_the_heap_walk_chunk_for_chunk(self, steps,
                                                            num_dns, preload):
         served = Twin(num_dns, preload)
-        bare = Twin(num_dns, preload, htap_enabled=False)
+        bare = Twin(num_dns, preload, Orientation.ROW)
         cluster = served.cluster
         for marker, step in enumerate(steps + [("late_commit",)]):
             if step[0] == "merge":

@@ -108,13 +108,16 @@ class TestDeltaCapture:
         txn.abort()
         assert len(cluster.dns[0].htap.tables["c"].delta) == 0
 
-    def test_disabled_cluster_has_no_htap_state(self):
-        cluster, session = build(num_dns=1, htap_enabled=False)
-        txn = session.begin()
-        txn.insert("c", {"k": 1, "v": 10})
+    def test_row_table_gets_no_htap_state(self):
+        cluster = MppCluster(num_dns=1)
+        cluster.create_table(TableSchema(
+            "r", [Column("k", DataType.INT), Column("v", DataType.INT)], "k"))
+        txn = cluster.session().begin()
+        txn.insert("r", {"k": 1, "v": 10})
         txn.commit()
-        assert cluster.htap is None
+        cluster.htap.tick()
         assert cluster.dns[0].htap is None
+        assert cluster.htap.delta_rows() == 0
 
 
 class TestMerge:

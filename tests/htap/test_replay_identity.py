@@ -1,12 +1,14 @@
-"""Replay identity: ``htap_enabled=False`` is the seed path, byte for byte.
+"""Replay identity: HTAP serving a column table is the seed path, byte for
+byte.
 
-Mirrors ``TestDisabledParity`` in tests/wlm/test_engine_integration.py: the
-same workload runs on an HTAP cluster and a disabled one, and every
-query-visible surface — result rows, operator row counts, simulated elapsed
-time, wait accounting, the slow-query log — must match exactly.  The only
-permitted divergence is the merge daemon's own bookkeeping (``htap.*``
-counters, the ``htap_merge`` wait event), which the disabled cluster must
-not show a trace of.
+The reference is a row-oriented twin: the same cluster, the same workload,
+and a table ``t`` of the same name without ``orientation = column``.  A row
+table gets no HTAP state, so its scans run exactly the seed path — the
+heap walk into the node's column image.  Every query-visible surface —
+result rows, operator row counts, simulated elapsed time, wait accounting,
+the slow-query log — must match exactly.  The only permitted divergence is
+the merge daemon's own bookkeeping (``htap.*`` counters, the ``htap_merge``
+wait event).
 
 The workload deliberately mixes float aggregation (chunk-boundary
 sensitive), updates, deletes and post-merge reads so the composed path is
@@ -28,12 +30,12 @@ WORKLOAD = [
 ]
 
 
-def _run(htap_enabled):
-    cluster = MppCluster(num_dns=2, htap_enabled=htap_enabled)
+def _run(orientation):
+    cluster = MppCluster(num_dns=2)
     engine = SqlEngine(cluster)
     cluster.obs.slowlog.threshold_us = 0.0
     engine.execute("create table t (id int primary key, v int, w double) "
-                   "with (orientation = column)")
+                   f"with (orientation = {orientation})")
     engine.execute("insert into t values "
                    "(1, 10, 0.1), (2, 20, 0.2), (3, 30, 0.3), "
                    "(4, 40, 0.4), (5, 50, 0.5), (6, 60, 0.6)")
@@ -41,7 +43,7 @@ def _run(htap_enabled):
     for i, sql in enumerate(WORKLOAD):
         # Merge mid-workload so later queries read frozen + delta, and the
         # identity claim covers the composed path, not just the heap walk.
-        if cluster.htap is not None and i in (1, 4):
+        if i in (1, 4):
             cluster.htap.tick()
         results.append(engine.execute(sql))
     return cluster, results
@@ -62,8 +64,9 @@ def _query_metrics(cluster):
 
 class TestReplayIdentity:
     def test_enabled_matches_disabled_byte_for_byte(self):
-        enabled, enabled_results = _run(htap_enabled=True)
-        bare, bare_results = _run(htap_enabled=False)
+        enabled, enabled_results = _run("column")
+        bare, bare_results = _run("row")
+        assert all(dn.htap is None for dn in bare.dns)   # seed path only
         for served, plain in zip(enabled_results, bare_results):
             assert served.rows == plain.rows
             if served.profile is not None:
@@ -79,17 +82,9 @@ class TestReplayIdentity:
         assert ([e.as_row()[:-1] for e in enabled.obs.slowlog.entries()]
                 == [e.as_row()[:-1] for e in bare.obs.slowlog.entries()])
 
-    def test_disabled_cluster_has_zero_htap_trace(self):
-        bare, _ = _run(htap_enabled=False)
-        assert bare.htap is None
-        assert all(dn.htap is None for dn in bare.dns)
-        _, flat = bare.obs.metrics.snapshot()
-        assert not any(name.startswith("htap.") for name in flat)
-        assert all(row[0] != "htap_merge" for row in bare.obs.waits.rows())
-
     def test_enabled_cluster_served_at_least_one_scan(self):
         # Guard the guard: the parity test is vacuous if HTAP never served.
-        enabled, _ = _run(htap_enabled=True)
+        enabled, _ = _run("column")
         flat = dict(enabled.obs.metrics.snapshot()[1])
         served = (flat.get("htap.scans_frozen", 0.0)
                   + flat.get("htap.scans_composed", 0.0))

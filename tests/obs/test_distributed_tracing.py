@@ -176,7 +176,7 @@ class TestSysTraceSpans:
 
 class TestBackgroundWorkTracing:
     def test_htap_merge_spans_stitch_under_tick(self):
-        cluster = MppCluster(num_dns=2, htap_enabled=True)
+        cluster = MppCluster(num_dns=2)
         engine = SqlEngine(cluster)
         engine.execute("create table r (id int primary key, v int) "
                        "with (orientation = column)")

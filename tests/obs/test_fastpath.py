@@ -159,7 +159,10 @@ class TestObsConfigView:
                     engine.query("SELECT setting, value FROM sys.obs_config")}
         assert settings["wait_sample_every"] == "4"
         assert settings["wait_detail_capacity"] == "512"
-        assert settings["trace_enabled"] == "true"
+        # One row per live knob, and only those.
+        assert set(settings) == {
+            "high_frequency_events", "max_spans", "wait_detail_capacity",
+            "wait_reservoir_size", "wait_sample_every", "wait_sample_seed"}
         assert "dn.scan" in settings["high_frequency_events"]
 
     def test_sys_wait_sampling_queryable(self):

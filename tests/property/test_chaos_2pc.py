@@ -60,7 +60,7 @@ def chaos_round(cluster, injector, session, rng, expected, marker):
     updated only when the GTM recorded (or a local node acknowledged) the
     commit — exactly the writes the cluster has promised to keep.
     """
-    arm_random_faults(injector, rng, num_dns=NUM_DNS)
+    arm_random_faults(injector, rng, FAULT_MENU, NUM_DNS)
     for t in range(TXNS_PER_ROUND):
         marker += 1
         if t % 3 == 2:
@@ -127,7 +127,7 @@ def test_chaos_schedule_preserves_invariants(seed):
     assert sum(a.count for a in fault_alerts) == len(injector.history)
 
 
-@pytest.mark.parametrize("failpoint,action,node_scoped", FAULT_MENU)
+@pytest.mark.parametrize("failpoint,action,node_scoped", FAULT_MENU.rules)
 def test_every_menu_entry_survives_deterministically(failpoint, action,
                                                      node_scoped):
     """Each (failpoint, action) pair, alone, preserves the invariants."""

@@ -33,7 +33,7 @@ from repro.common.rng import make_rng
 from repro.faults import FaultInjector
 from repro.faults.chaos import (
     GEO_FAULT_MENU,
-    arm_random_geo_faults,
+    arm_random_faults,
     recover_geo,
 )
 from repro.geo import (
@@ -74,7 +74,7 @@ def run_workload(geo, injector, rng):
     handles = []
     for round_no in range(4):
         if round_no == 1:
-            arm_random_geo_faults(injector, rng, NUM_REGIONS)
+            arm_random_faults(injector, rng, GEO_FAULT_MENU, NUM_REGIONS)
         if round_no == 2 and rng.random() < 0.5:
             a = rng.randrange(NUM_REGIONS)
             b = (a + 1 + rng.randrange(NUM_REGIONS - 1)) % NUM_REGIONS

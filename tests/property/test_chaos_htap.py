@@ -30,7 +30,7 @@ from repro.cluster.ha import HaManager
 from repro.common.errors import TransactionError
 from repro.exec.batch import rows_from_batches
 from repro.faults import FaultInjector
-from repro.faults.chaos import (HTAP_FAULT_MENU, arm_random_htap_faults,
+from repro.faults.chaos import (HTAP_FAULT_MENU, arm_random_faults,
                                 recover_cluster)
 from repro.storage import Column, DataType, Orientation, TableSchema
 from repro.storage.colstore import ColumnStore
@@ -65,7 +65,7 @@ def chaos_round(cluster, injector, session, rng, expected, marker):
     ``expected`` is the oracle: key -> value for every acknowledged commit.
     Writes that raise are aborted and leave the oracle untouched.
     """
-    arm_random_htap_faults(injector, rng, num_dns=NUM_DNS)
+    arm_random_faults(injector, rng, HTAP_FAULT_MENU, NUM_DNS)
     clock = cluster.obs.clock
     for _ in range(TXNS_PER_ROUND):
         marker += 1
@@ -159,7 +159,7 @@ def test_htap_chaos_schedule_preserves_invariants(seed):
     assert_no_lost_or_duplicate_rows(cluster, expected)
 
 
-@pytest.mark.parametrize("failpoint,action,node_scoped", HTAP_FAULT_MENU)
+@pytest.mark.parametrize("failpoint,action,node_scoped", HTAP_FAULT_MENU.rules)
 def test_every_htap_menu_entry_survives_deterministically(failpoint, action,
                                                           node_scoped):
     """Each (failpoint, action) pair, alone, preserves the invariants."""

@@ -31,7 +31,7 @@ from repro.common.errors import TransactionError
 from repro.faults import CoordinatorCrash, FaultInjector, InjectedTimeout
 from repro.faults.chaos import (
     REBALANCE_FAULT_MENU,
-    arm_random_rebalance_faults,
+    arm_random_faults,
     recover_cluster,
 )
 from repro.storage import Column, DataType, TableSchema
@@ -117,7 +117,7 @@ def test_chaos_expansion_preserves_rows_and_ownership(seed):
     rng = random.Random(seed ^ 0xC0FFEE)
     expected = {k: 0 for k in KEYS}
     counter = [0]
-    arm_random_rebalance_faults(injector, rng, num_dns=NUM_DNS)
+    arm_random_faults(injector, rng, REBALANCE_FAULT_MENU, NUM_DNS)
     callback = make_catchup(cluster, session, rng, expected, counter)
     try:
         coordinator.add_dn(on_catchup=callback)
@@ -139,7 +139,8 @@ def test_chaos_expansion_preserves_rows_and_ownership(seed):
     assert_invariants(cluster, expected)
 
 
-@pytest.mark.parametrize("failpoint,action,node_scoped", REBALANCE_FAULT_MENU)
+@pytest.mark.parametrize("failpoint,action,node_scoped",
+                         REBALANCE_FAULT_MENU.rules)
 def test_every_menu_entry_recovers_deterministically(failpoint, action,
                                                      node_scoped):
     """Each (failpoint, action) pair, alone, preserves the invariants."""

@@ -1,4 +1,14 @@
-"""Engine-level workload management: queue time, views, enabled/disabled parity."""
+"""Engine-level workload management: queue time, views, and the
+ungoverned-engine golden.
+
+Regenerate the golden (a declared move of the simulated clock) with::
+
+    PYTHONPATH=src python -m tests.wlm.test_engine_integration
+"""
+
+import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +18,8 @@ from repro.sql.engine import SqlEngine
 from repro.wlm import Priority, ResourceGroup, WlmConfig
 
 
-def _engine(wlm_enabled=True, wlm_config=None, num_dns=2):
-    cluster = MppCluster(num_dns=num_dns, wlm_enabled=wlm_enabled,
-                         wlm_config=wlm_config)
+def _engine(wlm_config=None, num_dns=2):
+    cluster = MppCluster(num_dns=num_dns, wlm_config=wlm_config)
     engine = SqlEngine(cluster)
     engine.execute("create table t (id int, v int)")
     engine.execute(
@@ -91,14 +100,29 @@ class TestSystemViews:
         assert set(events) <= {"queued", "admitted", "done", "failed",
                                "rejected", "timeout", "cancelled"}
 
-    def test_wlm_views_empty_when_disabled(self):
-        _, engine = _engine(wlm_enabled=False)
-        assert engine.execute("select * from sys.wlm_groups").rowcount == 0
-        assert engine.execute("select * from sys.wlm_queue").rowcount == 0
+
+GOLDEN = Path(__file__).resolve().parent.parent / "goldens" / "wlm_ungoverned.json"
+RECORD_COMMAND = "PYTHONPATH=src python -m tests.wlm.test_engine_integration"
+
+
+def _plain(value):
+    """JSON form of a telemetry value: tuples as lists, floats as ``repr``
+    (so a 1-ulp drift is a diff, not a rounding)."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, float):
+        return repr(value)
+    return value
 
 
 class TestDisabledParity:
-    """``wlm_enabled=False`` replays the ungoverned path telemetry-identical."""
+    """A governed engine on the default group is telemetry-identical to the
+    ungoverned engine WLM was added to.
+
+    No ungoverned path remains to run, so the reference is a golden recorded
+    from it: per statement the result rows, the operator profile and the
+    simulated elapsed time, then the wait profile and the slow-query log.
+    """
 
     WORKLOAD = [
         "select v from t where v > 10",
@@ -108,21 +132,49 @@ class TestDisabledParity:
         "select sum(v) from t",
     ]
 
-    def _run(self, wlm_enabled):
-        cluster, engine = _engine(wlm_enabled=wlm_enabled)
+    @classmethod
+    def surfaces(cls):
+        cluster, engine = _engine()
         cluster.obs.slowlog.threshold_us = 0.0
-        results = [engine.execute(sql) for sql in self.WORKLOAD]
-        return cluster, results
+        statements = []
+        for sql in cls.WORKLOAD:
+            result = engine.execute(sql)
+            profile = result.profile
+            statements.append({
+                "sql": sql,
+                "rows": _plain(result.rows),
+                "profile": (_plain(profile.rows_table())
+                            if profile is not None else None),
+                "elapsed_time_us": (_plain(profile.elapsed_time_us)
+                                    if profile is not None else None),
+            })
+        return {
+            "statements": statements,
+            "waits": _plain(cluster.obs.waits.rows()),
+            "slowlog": [_plain(e.as_row())
+                        for e in cluster.obs.slowlog.entries()],
+        }
 
     def test_disabled_cluster_matches_governed_default_group(self):
-        governed, governed_results = self._run(wlm_enabled=True)
-        bare, bare_results = self._run(wlm_enabled=False)
-        for gov, plain in zip(governed_results, bare_results):
-            assert gov.rows == plain.rows
-            if gov.profile is not None:
-                assert gov.profile.rows_table() == plain.profile.rows_table()
-                assert (gov.profile.elapsed_time_us
-                        == plain.profile.elapsed_time_us)
-        assert governed.obs.waits.rows() == bare.obs.waits.rows()
-        assert ([e.as_row() for e in governed.obs.slowlog.entries()]
-                == [e.as_row() for e in bare.obs.slowlog.entries()])
+        golden = json.loads(GOLDEN.read_text())
+        live = self.surfaces()
+        assert len(live["statements"]) == len(golden["statements"])
+        for ran, recorded in zip(live["statements"], golden["statements"]):
+            assert ran == recorded, recorded["sql"]
+        assert live["waits"] == golden["waits"]
+        assert live["slowlog"] == golden["slowlog"]
+
+
+def record_golden() -> None:
+    """Rewrite :data:`GOLDEN` from the current engine."""
+    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                            capture_output=True, text=True).stdout.strip()
+    payload = {"generated_at": commit or "unknown",
+               "command": RECORD_COMMAND}
+    payload.update(TestDisabledParity.surfaces())
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(payload, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record_golden()
