@@ -48,6 +48,10 @@ class Catalog:
             self.version += 1
 
     def schema(self, name: str) -> TableSchema:
+        # Names are mostly spelled as registered: try the exact key first.
+        schema = self._schemas.get(name)
+        if schema is not None:
+            return schema
         try:
             return self._schemas[self._norm(name)]
         except KeyError:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.common.errors import CatalogError, ShardReadOnly
+from repro.common.errors import CatalogError, ShardReadOnly, StorageError
 from repro.storage.heap import MvccHeap
 from repro.storage.table import TableSchema
 from repro.txn.manager import LocalTransactionManager
@@ -245,32 +245,35 @@ class DataNode:
 
     def insert(self, table: str, row: Dict[str, object], xid: int,
                snapshot: Snapshot) -> None:
+        """Insert a *typed* row: every column of the table's schema, each
+        value ``None`` or of its column's Python type, as
+        :meth:`TableSchema.coerce_row` returns it or a heap stored it.  It is
+        stored and shipped as given, with no second check; callers with a
+        row from outside type it first (``Transaction.insert``)."""
         self._require_writable()
-        schema = self._schemas[table]
-        coerced = schema.coerce_row(row)
-        key = schema.key_of(coerced)
-        self.heap(table).insert(key, coerced, xid, snapshot, self.ltm.clog)
+        key = self._schemas[table].key_of(row)
+        self.heap(table).insert(key, row, xid, snapshot, self.ltm.clog)
         self.ltm.record_write(xid, table, key)
         self._n_apply += 1
         self._redo.setdefault(xid, []).append(
-            RedoOp("insert", table, key, coerced))
+            RedoOp("insert", table, key, row))
 
     def update(self, table: str, key: object, values: Dict[str, object],
                xid: int, snapshot: Snapshot) -> None:
+        """Assign ``values`` to the visible row of ``key``.  Only the
+        assigned columns are checked (:meth:`TableSchema.coerce_values`):
+        the rest of the row is typed already."""
         self._require_writable()
         heap = self.heap(table)
         current = heap.read(key, snapshot, self.ltm.clog, xid)
         if current is None:
-            from repro.common.errors import StorageError
-
             raise StorageError(f"{self.node_id}.{table}: key {key!r} not visible")
-        current.update(values)
-        coerced = self._schemas[table].coerce_row(current)
-        heap.update(key, coerced, xid, snapshot, self.ltm.clog)
+        current.update(self._schemas[table].coerce_values(values))
+        heap.update(key, current, xid, snapshot, self.ltm.clog)
         self.ltm.record_write(xid, table, key)
         self._n_apply += 1
         self._redo.setdefault(xid, []).append(
-            RedoOp("update", table, key, coerced))
+            RedoOp("update", table, key, current))
 
     def delete(self, table: str, key: object, xid: int, snapshot: Snapshot) -> None:
         self._require_writable()

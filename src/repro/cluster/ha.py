@@ -397,6 +397,8 @@ class HaManager:
         snapshot = replacement.local_snapshot()
         for table in self.cluster.catalog.tables():
             schema = self.cluster.catalog.schema(table)
+            # The standby holds the primary's redo rows: typed already
+            # (DataNode.insert).
             for key, values in standby.rows(schema.name).items():
                 replacement.insert(schema.name, values, xid, snapshot)
                 rows_restored += 1
@@ -425,7 +427,7 @@ class HaManager:
             redo = standby.unsuperseded_redo(gxid)
             lxid = replacement.begin(gxid=gxid)
             snap = replacement.local_snapshot()
-            for op in redo:
+            for op in redo:     # rows a DataNode wrote: typed already
                 if op.op == "insert":
                     replacement.insert(op.table, op.values, lxid, snap)
                 elif op.op == "update":

@@ -238,6 +238,7 @@ class MppCluster:
             xid = target.begin()
             snapshot = target.local_snapshot()
             for _key, values in rows:
+                # A copy of a heap's row: typed already (DataNode.insert).
                 target.insert(table, dict(values), xid, snapshot)
             target.commit(xid)
 

@@ -249,6 +249,8 @@ class RebalanceCoordinator:
                 for key, values in rows:
                     if target.read(table, key, snapshot, xid) is not None:
                         continue   # a double-write already landed it
+                    # A copy of a heap's row: typed already
+                    # (DataNode.insert).
                     target.insert(table, dict(values), xid, snapshot)
                     copied += 1
                 target.commit(xid)

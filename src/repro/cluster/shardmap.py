@@ -98,6 +98,14 @@ class ShardMap:
         """The DN that owns a distribution value right now."""
         return self._owners[shard_of_value(value, self.num_slots)]
 
+    def route(self, value) -> Tuple[int, Optional[int]]:
+        """``(owner, move target or None)`` of a distribution value: one
+        call per routed statement (an int hashes by modulo, as in
+        :func:`shard_of_value`)."""
+        slot = (value % self.num_slots if value.__class__ is int
+                else shard_of_value(value, self.num_slots))
+        return self._owners[slot], self._moving.get(slot)
+
     def moving_target(self, slot: int) -> Optional[int]:
         """Target DN if the slot is mid-move (double-write window)."""
         return self._moving.get(slot)

@@ -22,7 +22,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import (
     InvalidTransactionState,
-    StorageError,
     TransactionAborted,
     TransactionError,
 )
@@ -262,34 +261,18 @@ class _BaseTransaction:
         shard_map = self._cluster.catalog.shard_map
         if shard_map is None:
             return shard_of_value(value, self._cluster.num_dns), None
-        slot = shard_map.slot_of_value(value)
-        return shard_map.owner_of_slot(slot), shard_map.moving_target(slot)
+        return shard_map.route(value)
 
-    def _route_row(self, table: str,
-                   row: Dict[str, object]) -> Tuple[int, Optional[int]]:
-        schema = self._schema(table)
-        if schema.distribution is Distribution.REPLICATION:
-            raise StorageError(
-                f"table {schema.name} is replicated; no single shard")
-        coerced = schema.coerce_row(row)
-        return self._route_value(coerced[schema.distribution_column])
-
-    def _route_key(self, table: str, key: object,
+    def _route_key(self, schema, key: object,
                    row: Optional[Dict[str, object]] = None
                    ) -> Tuple[int, Optional[int]]:
-        """Route a point write.  ``row`` — the row as the caller located
-        it — supplies the distribution value where the key alone cannot
+        """Route a point statement on a hash table.  ``row`` — a typed row
+        (an insert's, or the row as the caller located it) — supplies the
+        distribution value where the key alone cannot
         (``distribute by hash(<non-pk column>)``)."""
-        schema = self._schema(table)
         if row is not None:
             return self._route_value(row[schema.distribution_column])
         return self._route_value(schema.dist_value_of_key(key))
-
-    def _shard_for_row(self, table: str, row: Dict[str, object]) -> int:
-        return self._route_row(table, row)[0]
-
-    def _shard_for_key(self, table: str, key: object) -> int:
-        return self._route_key(table, key)[0]
 
     def _read_on(self, dn, table: str, key: object, view, xid: int):
         """A point read of one node's slice: what a scan of that slice
@@ -489,7 +472,7 @@ class LocalTransaction(_BaseTransaction):
                     "writing a replicated table is a multi-shard operation"
                 )
             return self._cluster.dn_indices()[0]
-        owner, moving = self._route_key(table, key, row)
+        owner, moving = self._route_key(schema, key, row)
         if moving is not None:
             raise TransactionPromotionRequired(
                 "slot is rebalancing; the write must double-write to "
@@ -505,13 +488,14 @@ class LocalTransaction(_BaseTransaction):
         fragment's site); without it the key routes itself."""
         self._require_running()
         self._charge_cn()
-        if dn_index is not None:
-            dn = self._bind(dn_index)
-        elif self._schema(table).distribution is Distribution.REPLICATION:
-            dn = self._bind(self._dn_index if self._dn_index is not None
+        if dn_index is None:
+            schema = self._schema(table)
+            if schema.distribution is Distribution.REPLICATION:
+                dn_index = (self._dn_index if self._dn_index is not None
                             else self._cluster.dn_indices()[0])
-        else:
-            dn = self._bind(self._shard_for_key(table, key))
+            else:
+                dn_index = self._route_key(schema, key)[0]
+        dn = self._bind(dn_index)
         self._charge_dn_stmt(dn.index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_scan += 1
         self._last_wait_event = WAIT_DN_SCAN
@@ -521,14 +505,16 @@ class LocalTransaction(_BaseTransaction):
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
-        if schema.distribution is Distribution.REPLICATION:
-            if self._cluster.num_active_dns > 1:
-                raise TransactionPromotionRequired(
-                    "writing a replicated table is a multi-shard operation"
-                )
+        replicated = schema.distribution is Distribution.REPLICATION
+        if replicated and self._cluster.num_active_dns > 1:
+            raise TransactionPromotionRequired(
+                "writing a replicated table is a multi-shard operation"
+            )
+        row = schema.coerce_row(row)    # typed once: routed and stored as is
+        if replicated:
             dn = self._bind(self._cluster.dn_indices()[0])
         else:
-            owner, moving = self._route_row(table, row)
+            owner, moving = self._route_value(row[schema.distribution_column])
             if moving is not None:
                 raise TransactionPromotionRequired(
                     "slot is rebalancing; the write must double-write to "
@@ -733,11 +719,12 @@ class GlobalTransaction(_BaseTransaction):
         self._require_running()
         self._charge_cn()
         if dn_index is None:
-            if self._schema(table).distribution is Distribution.REPLICATION:
+            schema = self._schema(table)
+            if schema.distribution is Distribution.REPLICATION:
                 dn_index = (min(self._local_xid) if self._local_xid
                             else self._cluster.dn_indices()[0])
             else:
-                dn_index = self._shard_for_key(table, key)
+                dn_index = self._route_key(schema, key)[0]
         dn, lxid, view = self._attach(dn_index)
         self._charge_dn_stmt(dn_index, self._ctx.model.dn_stmt_us if self._ctx else 0.0)
         self._nw_scan += 1
@@ -757,12 +744,13 @@ class GlobalTransaction(_BaseTransaction):
         self._require_running()
         self._charge_cn()
         schema = self._schema(table)
+        row = schema.coerce_row(row)    # typed once: routed and stored as is
         if schema.distribution is Distribution.REPLICATION:
             for dn_index in self._cluster.dn_indices():
                 self._apply_on(dn_index, lambda dn, lxid, view:
                                dn.insert(table, row, lxid, view))
             return
-        owner, moving = self._route_row(table, row)
+        owner, moving = self._route_value(row[schema.distribution_column])
         self._apply_on(owner, lambda dn, lxid, view:
                        dn.insert(table, row, lxid, view))
         if moving is not None:
@@ -783,7 +771,7 @@ class GlobalTransaction(_BaseTransaction):
                 self._apply_on(dn_index, lambda dn, lxid, view:
                                dn.update(table, key, values, lxid, view))
             return
-        owner, moving = self._route_key(table, key, row)
+        owner, moving = self._route_key(schema, key, row)
         self._apply_on(owner, lambda dn, lxid, view:
                        dn.update(table, key, values, lxid, view))
         if moving is not None:
@@ -808,7 +796,7 @@ class GlobalTransaction(_BaseTransaction):
                 self._apply_on(dn_index, lambda dn, lxid, view:
                                dn.delete(table, key, lxid, view))
             return
-        owner, moving = self._route_key(table, key, row)
+        owner, moving = self._route_key(schema, key, row)
         self._apply_on(owner, lambda dn, lxid, view:
                        dn.delete(table, key, lxid, view))
         if moving is not None:

@@ -16,7 +16,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.common.errors import CatalogError, StorageError
-from repro.storage.types import DataType, coerce
+from repro.storage.types import COERCERS, DataType
 
 
 class Distribution(enum.Enum):
@@ -71,6 +71,11 @@ class TableSchema:
                     f"{self.distribution_column!r}"
                 )
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        #: ``(name, coercer, nullable, is_pk)`` per column, in column order:
+        #: what :meth:`coerce_row` and :meth:`coerce_values` check.
+        self._checks = tuple(
+            (c.name, COERCERS[c.data_type], c.nullable, c.name == self.primary_key)
+            for c in self.columns)
 
     @property
     def column_names(self) -> List[str]:
@@ -83,24 +88,43 @@ class TableSchema:
             raise CatalogError(f"table {self.name}: no column {name!r}") from None
 
     def coerce_row(self, row: Dict[str, object]) -> Dict[str, object]:
-        """Validate and type-coerce a row dict against this schema."""
+        """Validate and type-coerce a row dict against this schema: the
+        typed row, every column present, in column order."""
         out: Dict[str, object] = {}
-        for col in self.columns:
-            value = row.get(col.name)
-            if value is None:
-                if not col.nullable and col.name != self.primary_key:
-                    raise StorageError(
-                        f"table {self.name}: column {col.name} is NOT NULL"
-                    )
-                if col.name == self.primary_key:
-                    raise StorageError(f"table {self.name}: NULL primary key")
-                out[col.name] = None
-            else:
-                out[col.name] = coerce(value, col.data_type)
-        extra = set(row) - set(self._by_name)
-        if extra:
-            raise StorageError(f"table {self.name}: unknown columns {sorted(extra)}")
+        get = row.get
+        for name, coerce_value, nullable, is_pk in self._checks:
+            value = get(name)
+            out[name] = (coerce_value(value) if value is not None
+                         else self._null(name, nullable, is_pk))
+        if not self._by_name.keys() >= row.keys():
+            self._reject_unknown(row)
         return out
+
+    def coerce_values(self, values: Dict[str, object]) -> Dict[str, object]:
+        """:meth:`coerce_row` for an update's assigned columns only: the
+        same checks and errors, over the columns ``values`` names, in
+        column order.  The rest of the row is typed already (it came out
+        of a heap)."""
+        out: Dict[str, object] = {}
+        for name, coerce_value, nullable, is_pk in self._checks:
+            if name in values:
+                value = values[name]
+                out[name] = (coerce_value(value) if value is not None
+                             else self._null(name, nullable, is_pk))
+        if len(out) < len(values):
+            self._reject_unknown(values)
+        return out
+
+    def _null(self, name: str, nullable: bool, is_pk: bool) -> None:
+        if is_pk:
+            raise StorageError(f"table {self.name}: NULL primary key")
+        if not nullable:
+            raise StorageError(f"table {self.name}: column {name} is NOT NULL")
+        return None
+
+    def _reject_unknown(self, row: Dict[str, object]) -> None:
+        extra = set(row) - set(self._by_name)
+        raise StorageError(f"table {self.name}: unknown columns {sorted(extra)}")
 
     def shard_of(self, row: Dict[str, object], num_shards) -> int:
         """Which data node (0-based) stores this row.
@@ -118,7 +142,7 @@ class TableSchema:
                 ) -> Iterator[tuple]:
         """The stored ``values`` of ``(key, values)`` items as tuples in
         table-column order, built at C speed (every stored row holds every
-        column: :meth:`coerce_row` wrote it)."""
+        column: it is a typed row, :meth:`coerce_row`'s output)."""
         rows = map(itemgetter(1), items)
         names = self.column_names
         if len(names) == 1:

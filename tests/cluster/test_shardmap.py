@@ -85,6 +85,16 @@ class TestMoveMachine:
         assert 3 in shard_map.excluded_slots(0)          # partial copy hidden
         assert shard_map.excluded_slots(1) == frozenset()
 
+    def test_route_is_owner_and_move_target(self):
+        shard_map = ShardMap(2)
+        shard_map.begin_move(3, 0)
+        for value in [3, 3 + shard_map.num_slots, -3, 0, True, False, 2 ** 70,
+                      -2 ** 63, "w3", 3.0, 2.5, None]:
+            slot = shard_map.slot_of_value(value)
+            assert shard_map.route(value) == (
+                shard_map.owner_of_slot(slot), shard_map.moving_target(slot))
+        assert shard_map.route(3) == (1, 0)
+
     def test_begin_twice_raises(self):
         shard_map = ShardMap(2)
         shard_map.begin_move(3, 0)

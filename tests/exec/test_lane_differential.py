@@ -591,6 +591,38 @@ def test_row_table_scanned_while_another_session_holds_a_write():
         assert reused(engine, None)
 
 
+@pytest.mark.parametrize("orientations", [("row", "row"),
+                                          ("column", "row")])
+def test_int_columns_refuse_values_past_int64(orientations):
+    """A value outside int64 never reaches an INT column, by insert or by
+    update (sqlite would store it as a REAL): both engines refuse it with
+    the same error, and the int64 edges are stored exactly."""
+    def refused(sql):
+        def step(engine, mirror):
+            observed = _observed(engine, sql)
+            assert "out of range for int" in observed, observed
+            return observed
+        return step
+
+    steps = [
+        refused("insert into f values (100, 1180591620717411303424, 1.0, "
+                "'a', 1)"),
+        refused("insert into f values (101, 1, 1.0, 'a', "
+                "-9223372036854775809)"),
+        refused("update f set k = k * 4611686018427387904 where id = 2"),
+        "insert into f values (102, 9223372036854775807, 1.0, 'a', 1), "
+        "(103, -9223372036854775808, 1.0, 'a', 1)",
+        "select sum(k), count(k), sum(h) from f where id < 100",
+        "select id, k from f where id > 99",
+        "select g, sum(h) from f group by g",
+    ]
+    for num_dns in (1, 2):
+        engine = replay(FIXED, orientations, num_dns, steps)
+        edges = engine.execute("select k from f where id > 99 order by id")
+        assert [(type(k), k) for k, in edges.rows] == [
+            (int, 2 ** 63 - 1), (int, -2 ** 63)]
+
+
 #: ``report_cached``'s ``vip`` join: a small row table broadcast to every
 #: fragment of a large column table, filtered on a TEXT column.
 SALES = ("f", "id int primary key, k int, x double, g text, h int")

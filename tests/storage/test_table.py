@@ -10,7 +10,7 @@ from repro.storage.table import (
     rows_to_columns,
     shard_of_value,
 )
-from repro.storage.types import DataType
+from repro.storage.types import DataType, coerce
 
 
 def make_schema(**kwargs):
@@ -72,6 +72,26 @@ class TestCoerceRow:
     def test_unknown_columns_rejected(self):
         with pytest.raises(StorageError):
             make_schema().coerce_row({"id": 1, "zz": 2})
+
+    @pytest.mark.parametrize("data_type", [DataType.INT, DataType.BIGINT,
+                                           DataType.TIMESTAMP])
+    @pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, 2 ** 70, 1e20,
+                                       -1e19, "9223372036854775808"])
+    def test_integers_outside_int64_rejected(self, data_type, value):
+        with pytest.raises(StorageError, match="out of range"):
+            coerce(value, data_type)
+        schema = TableSchema("t", [Column("id", DataType.INT),
+                                   Column("v", data_type)], "id")
+        with pytest.raises(StorageError, match="out of range"):
+            schema.coerce_row({"id": 1, "v": value})
+        with pytest.raises(StorageError, match="out of range"):
+            schema.coerce_values({"v": value})
+
+    @pytest.mark.parametrize("data_type", [DataType.INT, DataType.BIGINT,
+                                           DataType.TIMESTAMP])
+    def test_int64_edges_accepted(self, data_type):
+        for value in (2 ** 63 - 1, -2 ** 63, 2.0 ** 62, "-9223372036854775808"):
+            assert coerce(value, data_type) == int(value)
 
 
 class TestRouting:
