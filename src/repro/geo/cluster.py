@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.mpp import MppCluster, Session
+from repro.cluster.mpp import MppCluster
 from repro.cluster.txn import TxnMode
 from repro.common.errors import ConfigError, InvalidTransactionState
 from repro.faults.injector import (
@@ -412,43 +412,44 @@ class GeoCluster:
 
     def _apply_epoch(self, region: int, batches: List[EpochBatch],
                      verdicts, start_us: float) -> Tuple[float, int]:
-        """Replay the epoch's certified writes this region hosts, in
-        certification order, through real region transactions."""
-        committed_ids = {txn_id for txn_id, outcome in verdicts
-                         if outcome == COMMIT}
+        """Apply the epoch's certified writes this region hosts as one
+        region transaction, in certification order: readers see all of the
+        epoch or none of it, and an apply that fails part-way leaves
+        nothing behind for the retry to trip over."""
         by_id = {r.txn_id: r for batch in batches for r in batch.records}
-        cluster = self.regions[region]
-        session: Optional[Session] = None
-        applied_ops = 0
-        end_us = start_us
-        for txn_id, outcome in verdicts:
-            if txn_id not in committed_ids:
-                continue
-            record = by_id[txn_id]
-            hosted = [op for op in record.ops
-                      if op.geo_slot < 0
-                      or self.shard_map.hosts(region, op.geo_slot)]
-            if not hosted:
-                continue
-            if session is None:
-                session = cluster.session(track_costs=True,
-                                          start_us=start_us)
-
-            def body(txn, ops=hosted):
-                for op in ops:
-                    if op.kind == "insert":
-                        txn.insert(op.table, dict(op.values))
-                    elif op.kind == "update":
-                        txn.update(op.table, op.key, dict(op.values))
-                    else:
-                        txn.delete(op.table, op.key)
-
-            session.run_transaction(body, multi_shard=True)
-            applied_ops += len(hosted)
-            end_us = session.ctx.t_us
-        if cluster.obs is not None and applied_ops:
-            cluster.obs.metrics.counter("geo.applied_ops").inc(applied_ops)
+        committed = [by_id[txn_id] for txn_id, outcome in verdicts
+                     if outcome == COMMIT]
+        end_us, applied_ops = self._apply_hosted(region, committed, start_us)
+        obs = self.regions[region].obs
+        if obs is not None and applied_ops:
+            obs.metrics.counter("geo.applied_ops").inc(applied_ops)
         return end_us, applied_ops
+
+    def _apply_hosted(self, region: int, records: List[GeoTxnRecord],
+                      start_us: float) -> Tuple[float, int]:
+        """Run the writes of ``records`` that ``region`` hosts, in order, as
+        one region transaction (none when it hosts none of them).  Stacked
+        writes to one key chain through the transaction's own writes.
+        Returns the simulated end time and the number of ops applied."""
+        hosts = self.shard_map.hosts
+        ops = [op for record in records for op in record.ops
+               if op.geo_slot < 0 or hosts(region, op.geo_slot)]
+        if not ops:
+            return start_us, 0
+        session = self.regions[region].session(track_costs=True,
+                                               start_us=start_us)
+
+        def body(txn):
+            for op in ops:
+                if op.kind == "insert":
+                    txn.insert(op.table, dict(op.values))
+                elif op.kind == "update":
+                    txn.update(op.table, op.key, dict(op.values))
+                else:
+                    txn.delete(op.table, op.key)
+
+        session.run_transaction(body, multi_shard=True)
+        return session.ctx.t_us, len(ops)
 
     def _trace_epoch(self, region: int, epoch: int, seal_us: float,
                      t_all: float, certify_end: float, apply_end: float,
@@ -482,9 +483,10 @@ class GeoCluster:
 
         Commits acknowledge at *certification*: the verdict is a pure
         function of the durable batch set, so once certified the outcome
-        can never change and the local apply is deterministic replay.  The
-        apply time is tracked separately (``WAIT_GEO_APPLY``, the
-        read-visibility lag), not charged to commit latency.
+        can never change, and the local apply is one region transaction
+        per epoch in certification order.  The apply time is tracked
+        separately (``WAIT_GEO_APPLY``, the read-visibility lag), not
+        charged to commit latency.
         """
         obs = self.regions[region].obs
         outcome_of = dict(verdicts)
@@ -772,7 +774,7 @@ class GeoCluster:
             for key in record.write_keys:
                 self._locks[key] = (ack, writer)
             for region in sorted(involved):
-                self._apply_2pc(region, record)
+                self._apply_hosted(region, [record], submit)
             handle.status = "committed"
             handle.ack_us = ack
         obs = self.regions[record.origin].obs
@@ -784,27 +786,6 @@ class GeoCluster:
             else:
                 obs.metrics.counter("geo.aborts").inc()
             obs.metrics.histogram("geo.commit_latency_us").observe(latency)
-
-    def _apply_2pc(self, region: int, record: GeoTxnRecord) -> None:
-        hosted = [op for op in record.ops
-                  if op.geo_slot < 0
-                  or self.shard_map.hosts(region, op.geo_slot)]
-        if not hosted:
-            return
-        cluster = self.regions[region]
-        session = cluster.session(track_costs=True,
-                                  start_us=record.commit_ts)
-
-        def body(txn):
-            for op in hosted:
-                if op.kind == "insert":
-                    txn.insert(op.table, dict(op.values))
-                elif op.kind == "update":
-                    txn.update(op.table, op.key, dict(op.values))
-                else:
-                    txn.delete(op.table, op.key)
-
-        session.run_transaction(body, multi_shard=True)
 
     # ------------------------------------------------------------------
     # internal: commit submission (both protocols)

@@ -21,12 +21,12 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-_LEGAL_TRANSITIONS = {
-    TxnStatus.IN_PROGRESS: {TxnStatus.PREPARED, TxnStatus.COMMITTED, TxnStatus.ABORTED},
-    TxnStatus.PREPARED: {TxnStatus.COMMITTED, TxnStatus.ABORTED},
-    TxnStatus.COMMITTED: set(),
-    TxnStatus.ABORTED: set(),
-}
+# Module-level aliases: reading a member off an Enum class costs a metaclass
+# attribute lookup, a module global does not.
+_IN_PROGRESS = TxnStatus.IN_PROGRESS
+_PREPARED = TxnStatus.PREPARED
+_COMMITTED = TxnStatus.COMMITTED
+_ABORTED = TxnStatus.ABORTED
 
 
 class StatusLog:
@@ -40,7 +40,7 @@ class StatusLog:
             raise InvalidTransactionState(f"illegal xid {xid}")
         if xid in self._status:
             raise InvalidTransactionState(f"xid {xid} already began")
-        self._status[xid] = TxnStatus.IN_PROGRESS
+        self._status[xid] = _IN_PROGRESS
 
     def get(self, xid: int) -> TxnStatus:
         if xid == INVALID_XID:
@@ -55,21 +55,30 @@ class StatusLog:
 
     def set(self, xid: int, status: TxnStatus) -> None:
         current = self.get(xid)
-        if status not in _LEGAL_TRANSITIONS[current]:
+        # A running transaction may prepare or end; a prepared one may only
+        # end; an ended one never changes.  Identity tests, not a set
+        # lookup: hashing an enum member costs a call on every change.
+        ends = status is _COMMITTED or status is _ABORTED
+        if current is _IN_PROGRESS:
+            legal = ends or status is _PREPARED
+        else:
+            legal = ends and current is _PREPARED
+        if not legal:
             raise InvalidTransactionState(
                 f"xid {xid}: illegal transition {current.value} -> {status.value}"
             )
         self._status[xid] = status
 
     def is_committed(self, xid: int) -> bool:
-        return self.get(xid) is TxnStatus.COMMITTED
+        return self.get(xid) is _COMMITTED
 
     def is_aborted(self, xid: int) -> bool:
-        return self.get(xid) is TxnStatus.ABORTED
+        return self.get(xid) is _ABORTED
 
     def is_in_doubt(self, xid: int) -> bool:
         """True while the transaction is running or prepared."""
-        return self.get(xid) in (TxnStatus.IN_PROGRESS, TxnStatus.PREPARED)
+        status = self.get(xid)
+        return status is _IN_PROGRESS or status is _PREPARED
 
     def forget(self, xid: int) -> None:
         """Drop a resolved xid (log truncation); in-doubt xids are kept."""
