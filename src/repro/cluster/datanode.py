@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.errors import CatalogError, ShardReadOnly, StorageError
 from repro.storage.heap import MvccHeap
 from repro.storage.table import TableSchema
@@ -31,29 +33,119 @@ class RedoOp:
 
 
 class _Image:
-    """A row table's visible rows under its last walk, as one typed batch:
-    the column image a lane scan reuses while it is exact.
+    """A row table's visible rows under one snapshot's decisions, as one
+    typed read-only batch: the column image a lane scan reuses while it is
+    exact and patches while it is a few writes behind.
 
-    It is exact for a later scan of the same heap, while the heap's
-    mutation count is unchanged, under a snapshot that decides every xid
-    in ``decisions`` as the walk did (``MvccHeap.visible``)."""
+    ``decisions`` holds the verdict of every xid a fresh walk of these rows
+    consults (``MvccHeap.visible``) and no other, ``refs`` how many chain
+    steps consult each, ``stamps`` the rows' arrival stamps (heap order),
+    and ``touched`` the heap's record of the keys written since
+    (``MvccHeap.touched``), bounded by the image's row count."""
 
-    __slots__ = ("heap", "mutations", "decisions", "batch")
+    __slots__ = ("heap", "mutations", "touched", "decisions", "refs",
+                 "stamps", "batch")
 
-    def __init__(self, heap: MvccHeap, decisions: Dict[int, bool], batch):
+    def __init__(self, heap: MvccHeap, decisions: Dict[int, bool],
+                 refs: Dict[int, int], stamps: np.ndarray, batch):
         self.heap = heap
         self.mutations = heap.mutations
+        self.touched = heap.track(len(stamps))
         self.decisions = decisions
+        self.refs = refs
+        self.stamps = stamps
         #: ``None`` when no row is visible
         self.batch = batch
 
-    def serves(self, heap: MvccHeap, snapshot: Snapshot, clog,
-               xid: int) -> bool:
-        if heap is not self.heap or heap.mutations != self.mutations:
-            return False
+    @classmethod
+    def of(cls, heap: MvccHeap, schema: TableSchema,
+           decisions: Dict[int, bool], refs: Dict[int, int],
+           items: List[tuple]) -> "_Image":
+        """The image of walked ``(key, values)`` items, in heap order."""
+        batch = None
+        if items:
+            from repro.exec.batch import batch_of_rows
+
+            batch = batch_of_rows(list(schema.rows_of(items)),
+                                  [c.data_type for c in schema.columns])
+            batch.read_only()
+        return cls(heap, decisions, refs, _stamps(heap, items), batch)
+
+    @classmethod
+    def walk(cls, heap: MvccHeap, schema: TableSchema, snapshot: Snapshot,
+             clog, xid: int) -> "_Image":
+        """The image of a fresh walk of ``heap``."""
+        decisions: Dict[int, bool] = {}
+        refs: Dict[int, int] = {}
+        return cls.of(heap, schema, decisions, refs, list(
+            heap.visible(snapshot, clog, xid, decisions, refs)))
+
+    def decides(self, snapshot: Snapshot, clog, xid: int) -> bool:
+        """Whether ``snapshot`` decides every recorded xid as recorded."""
         xid_visible = snapshot.xid_visible
         return all(xid_visible(x, clog, xid) == ok
                    for x, ok in self.decisions.items())
+
+    def patched(self, schema: TableSchema, snapshot: Snapshot, clog,
+                xid: int) -> Optional["_Image"]:
+        """This image caught up with the keys written since it was taken,
+        as a fresh walk under ``snapshot`` would see them; ``None`` when
+        only a walk can tell (the record overflowed, a recorded decision
+        flipped, or a numeric lane holds an unfit value).
+
+        The touched keys' old chains stop counting in ``refs`` first, so
+        the decisions checked are exactly those the untouched rows rest
+        on; the touched keys' chains are then decided again and their rows
+        typed and inserted at their stamps.  This image's records are
+        reused: it must not be served again either way."""
+        heap, touched = self.heap, self.touched
+        if heap.touched is not touched:
+            return None
+        decisions, refs = self.decisions, self.refs
+        dropped = []
+        for prior in touched.values():
+            if prior is None:
+                continue
+            stamp, headers = prior
+            dropped.append(stamp)
+            for x in heap.consulted(headers, decisions):
+                left = refs[x] - 1
+                if left:
+                    refs[x] = left
+                else:
+                    del refs[x], decisions[x]
+        if not self.decides(snapshot, clog, xid):
+            return None
+        stamp_of = heap.stamp_of
+        items = sorted(heap.visible(snapshot, clog, xid, decisions, refs,
+                                    touched),
+                       key=lambda item: stamp_of(item[0]))
+        stamps = self.stamps
+        n = len(stamps)
+        keep = np.ones(n, dtype=bool)
+        if dropped and n:
+            at = np.searchsorted(stamps, dropped)
+            keep[at[stamps.take(at, mode="clip") == dropped]] = False
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            return _Image.of(heap, schema, decisions, refs, items)
+        merged = np.concatenate((stamps[kept], _stamps(heap, items)))
+        order = np.argsort(merged, kind="stable")
+        take = np.concatenate((kept, np.arange(n, n + len(items))))[order]
+        from repro.exec.batch import patched_batch
+
+        batch = patched_batch(self.batch, list(schema.rows_of(items)), take,
+                              [c.data_type for c in schema.columns])
+        if batch is None:
+            return None
+        return _Image(heap, decisions, refs, merged[order], batch.read_only())
+
+
+def _stamps(heap: MvccHeap, items: List[tuple]) -> np.ndarray:
+    """The arrival stamps of walked ``(key, values)`` items."""
+    stamp_of = heap.stamp_of
+    return np.fromiter((stamp_of(key) for key, _ in items), dtype=np.int64,
+                       count=len(items))
 
 
 class DataNode:
@@ -97,22 +189,29 @@ class DataNode:
         # Per-statement tuple counts are kept as plain integers on the node
         # (a bump is one attribute increment, obs on or off) and folded into
         # the registry's dn.read / exec.rows / dn.apply / dn.scan counters
-        # by a scrape-time collector — so ``sys.metrics`` and snapshots stay
-        # exact while tuple access never touches a metric object.
+        # (and dn.image_walks / dn.image_patches, how lane scans of row
+        # tables kept their column images) by a scrape-time collector — so
+        # ``sys.metrics`` and snapshots stay exact while tuple access never
+        # touches a metric object.
         self._n_read = 0
         self._n_rows = 0
         self._n_apply = 0
         self._n_scan = 0
+        self._n_walks = 0
+        self._n_patches = 0
         if obs is not None:
             metrics = obs.metrics
             self._c_read = metrics.counter("dn.read")
             self._c_rows = metrics.counter("exec.rows")
             self._c_apply = metrics.counter("dn.apply")
             self._c_scan = metrics.counter("dn.scan")
+            self._c_walks = metrics.counter("dn.image_walks")
+            self._c_patches = metrics.counter("dn.image_patches")
             metrics.add_collector(self._flush_tuple_counts)
         else:
             self._c_read = self._c_rows = None
             self._c_apply = self._c_scan = None
+            self._c_walks = self._c_patches = None
         #: Optional :class:`repro.htap.store.HtapNodeState` (attached by
         #: the cluster's HtapManager): per-table delta stores + frozen
         #: column chunks.  ``None`` until the node holds a column table, and
@@ -142,6 +241,14 @@ class DataNode:
         if n:
             self._c_scan._value += n
             self._n_scan = 0
+        n = self._n_walks
+        if n:
+            self._c_walks._value += n
+            self._n_walks = 0
+        n = self._n_patches
+        if n:
+            self._c_patches._value += n
+            self._n_patches = 0
 
     def _note(self, metric: str, amount: float = 1.0) -> None:
         obs = self.obs
@@ -306,9 +413,14 @@ class DataNode:
         ``compose`` serves drops that image.
 
         Any other table is read from its column image in batches of
-        ``DEFAULT_BATCH_SIZE`` rows; the image is walked again only when
-        it no longer is exact for ``snapshot`` (:class:`_Image`).  Its
-        arrays are shared by every scan it serves.
+        ``DEFAULT_BATCH_SIZE`` rows (:class:`_Image`).  An image of the
+        unmutated heap is served as it is when ``snapshot`` decides every
+        recorded xid as recorded.  An image the heap's writes left behind
+        is patched (:meth:`_Image.patched`): one check of its decisions,
+        then only the written keys' chains are decided again, and new
+        lanes replace the old.  Anything else walks the heap again:
+        ``dn.image_walks`` and ``dn.image_patches`` count the two.  An
+        image's arrays are read-only and shared by every scan it serves.
         """
         from repro.exec import batch as batch_mod
 
@@ -317,7 +429,8 @@ class DataNode:
         if state is not None and table in state.tables:
             store = state.tables[table].compose(self, snapshot, xid)
             if store is not None:
-                self._images.pop(table, None)
+                if self._images.pop(table, None) is not None:
+                    self.heap(table).touched = None
                 self._n_rows += store.row_count
                 names = self._schemas[table].column_names
                 for chunk in store.scan_chunks(names):
@@ -328,15 +441,21 @@ class DataNode:
         heap = self.heap(table)
         clog = self.ltm.clog
         image = self._images.get(table)
-        if image is None or not image.serves(heap, snapshot, clog, xid):
-            schema = self._schemas[table]
-            decisions: Dict[int, bool] = {}
-            rows = list(schema.rows_of(
-                heap.visible(snapshot, clog, xid, decisions)))
-            image = self._images[table] = _Image(
-                heap, decisions, batch_mod.batch_of_rows(
-                    rows, [c.data_type for c in schema.columns]).read_only()
-                if rows else None)
+        if image is None or image.heap is not heap:
+            image = None
+        elif heap.mutations == image.mutations:
+            if not image.decides(snapshot, clog, xid):
+                image = None
+        else:
+            del self._images[table]
+            image = image.patched(self._schemas[table], snapshot, clog, xid)
+            if image is not None:
+                self._images[table] = image
+                self._n_patches += 1
+        if image is None:
+            image = self._images[table] = _Image.walk(
+                heap, self._schemas[table], snapshot, clog, xid)
+            self._n_walks += 1
         whole = image.batch
         if whole is None:
             return

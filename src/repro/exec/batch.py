@@ -184,6 +184,72 @@ def batch_of_rows(rows: List[tuple],
                   for column, data_type in zip(zip(*rows), types)], len(rows))
 
 
+def patched_batch(batch: Batch, rows: List[tuple], take: np.ndarray,
+                  types: Sequence[DataType]) -> Optional[Batch]:
+    """The lanes of ``batch``, typed by :func:`batch_of_rows` from
+    ``types``, followed by ``rows``, gathered at ``take``: the batch
+    :func:`batch_of_rows` types from the gathered rows, lane for lane and
+    dtype for dtype, in new arrays.
+
+    ``None`` when a numeric lane of either part is an object lane (it holds
+    an unfit value): the result's dtype then depends on every row.  A TEXT
+    lane is coded as a fresh encoding codes it (:func:`_patched_text`)."""
+    columns = []
+    fresh = list(zip(*rows)) if rows else [()] * len(types)
+    for vec, values, data_type in zip(batch.columns, fresh, types):
+        if data_type is DataType.TEXT:
+            columns.append(_patched_text(vec, values, take))
+            continue
+        dtype = data_type.numpy_dtype
+        data, validity = vec.data, vec.validity
+        if data.dtype != dtype:
+            return None
+        if values:
+            lane = _lane(values, data_type)
+            if lane.data.dtype != dtype:
+                return None
+            data = np.concatenate((data, lane.data))
+            validity = np.concatenate((validity, lane.validity))
+        columns.append(ColumnVector(data[take], validity[take]))
+    return Batch(columns, len(take))
+
+
+def _patched_text(vec: ColumnVector, values: tuple,
+                  take: np.ndarray) -> ColumnVector:
+    """A TEXT lane patched as :func:`patched_batch` patches lanes.  Its
+    dictionary is what ``DictionaryCodec.encode`` of the result's values
+    makes (entries in first-seen order, none unused, NULL an entry), so
+    the codes and their dtype are a fresh encoding's too."""
+    dictionary = vec.dictionary.tolist()
+    codes = vec.codes
+    nulls = codes[~vec.validity]
+    if len(nulls):
+        dictionary[nulls[0]] = None     # text_vector's NULL entry reads ""
+    if values:
+        index = {value: code for code, value in enumerate(dictionary)}
+        added = []
+        for value in values:
+            code = index.get(value)
+            if code is None:
+                code = index[value] = len(dictionary)
+                dictionary.append(value)
+            added.append(code)
+        codes = np.concatenate((codes, np.array(added, dtype=np.intp)))
+    codes = codes[take]
+    # coded as a fresh encoding codes when each code is at most one past
+    # every code before it, and the last new one is the last entry
+    reach = np.maximum.accumulate(codes)
+    if reach[-1] + 1 != len(dictionary) or codes[0] or (
+            np.diff(reach) > 1).any():
+        used, first = np.unique(codes, return_index=True)
+        order = used[np.argsort(first)]
+        recode = np.empty(len(dictionary), dtype=np.intp)
+        recode[order] = np.arange(len(order))
+        dictionary = [dictionary[code] for code in order.tolist()]
+        codes = recode[codes]
+    return text_vector(dictionary, codes)
+
+
 def _lane(values: tuple, data_type: Optional[DataType]) -> ColumnVector:
     n = len(values)
     if data_type is DataType.TEXT:

@@ -698,7 +698,9 @@ class GeoCluster:
                 if row.epoch == epoch}
 
     def assert_converged(self) -> None:
-        """Raise if any epoch certified by 2+ regions disagrees anywhere."""
+        """Raise if any epoch certified by 2+ regions disagrees anywhere, or
+        if two regions at one certification frontier that host a key's
+        slot hold different visible rows of it."""
         by_epoch: Dict[int, Dict[int, int]] = {}
         for row in self._epoch_rows:
             by_epoch.setdefault(row.epoch, {})[row.region] = row.digest
@@ -706,6 +708,42 @@ class GeoCluster:
             if len(set(digests.values())) > 1:
                 raise AssertionError(
                     f"epoch {epoch} diverged across regions: {digests}")
+        at_frontier: Dict[int, List[int]] = {}
+        for region, epoch in enumerate(self._certified):
+            at_frontier.setdefault(epoch, []).append(region)
+        for regions in at_frontier.values():
+            if len(regions) > 1:
+                self._assert_rows_agree(regions)
+
+    def _assert_rows_agree(self, regions: List[int]) -> None:
+        """Every key's visible row is the same in each of ``regions`` that
+        hosts its slot (absent counts as a row), one table at a time."""
+        catalog = self.regions[regions[0]].catalog
+        for table in catalog.tables():
+            schema = catalog.schema(table)
+            rows = {region: self._visible_rows(region, table)
+                    for region in regions}
+            for key in dict.fromkeys(key for region in regions
+                                     for key in rows[region]):
+                values = next(rows[r][key] for r in regions if key in rows[r])
+                geo_slot = self.geo_slot_of(
+                    schema, values.get(schema.distribution_column))
+                held = {region: rows[region].get(key) for region in regions
+                        if geo_slot < 0
+                        or self.shard_map.hosts(region, geo_slot)}
+                if len({repr(row if row is None else sorted(row.items()))
+                        for row in held.values()}) > 1:
+                    raise AssertionError(
+                        f"{table} key {key!r} diverged across regions: "
+                        f"{held}")
+
+    def _visible_rows(self, region: int, table: str) -> Dict[object, dict]:
+        """``key -> values`` of every row of ``table`` that ``region``
+        holds, read from each data node's heap under its local snapshot."""
+        return {key: values
+                for dn in self.regions[region].active_dns()
+                for key, values in dn.heap(table).visible(
+                    dn.local_snapshot(), dn.ltm.clog)}
 
     def region_rows(self) -> List[tuple]:
         """``sys.geo_regions`` rows."""

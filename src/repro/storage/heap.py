@@ -25,7 +25,7 @@ transaction raises :class:`SerializationConflict`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import DuplicateKeyError, SerializationConflict, StorageError
 from repro.txn.snapshot import Snapshot
@@ -64,6 +64,33 @@ class MvccHeap:
         #: walk under snapshots that decide the same xids the same way
         #: yields the same rows.
         self.mutations = 0
+        #: What a live column image needs to catch up with this heap: each
+        #: key written since :meth:`track` began the record, mapped to its
+        #: chain as the image saw it (``(stamp, headers)``, ``None`` for a
+        #: key that had no chain).  ``None`` while no image is live, and
+        #: once more keys were written than :meth:`track`'s bound (the
+        #: image's row count, past which a walk is no dearer than a patch).
+        self.touched: Optional[Dict[object, Optional[tuple]]] = None
+        self._touch_bound = 0
+
+    def track(self, bound: int) -> Dict[object, Optional[tuple]]:
+        """Begin a new record of the keys written from now on (see
+        :attr:`touched`), dropped once it would hold more than ``bound``."""
+        self.touched = {}
+        self._touch_bound = bound
+        return self.touched
+
+    def _touch(self, key: object) -> None:
+        """Note ``key`` in :attr:`touched` before its chain changes."""
+        touched = self.touched
+        if key in touched:
+            return
+        if len(touched) >= self._touch_bound:
+            self.touched = None
+            return
+        chain = self._chains.get(key)
+        touched[key] = None if chain is None else (
+            self._stamps[key], tuple([(v.xmin, v.xmax) for v in chain]))
 
     # -- write path -------------------------------------------------------
 
@@ -71,6 +98,8 @@ class MvccHeap:
                snapshot: Snapshot, clog: StatusLog) -> None:
         """Insert a new row; the key must not be visibly or concurrently alive."""
         self.mutations += 1
+        if self.touched is not None:
+            self._touch(key)
         if key not in self._chains:
             self._stamps[key] = self._next_stamp
             self._next_stamp += 1
@@ -90,12 +119,16 @@ class MvccHeap:
         """Replace the visible version of ``key`` with new values."""
         old = self._writable_version(key, xid, snapshot, clog)
         self.mutations += 1
+        if self.touched is not None:
+            self._touch(key)
         old.xmax = xid
         self._chains[key].append(TupleVersion(xmin=xid, values=dict(values)))
 
     def delete(self, key: object, xid: int, snapshot: Snapshot, clog: StatusLog) -> None:
         old = self._writable_version(key, xid, snapshot, clog)
         self.mutations += 1
+        if self.touched is not None:
+            self._touch(key)
         old.xmax = xid
 
     def abort_writes(self, xid: int) -> int:
@@ -106,10 +139,10 @@ class MvccHeap:
         Prefer :meth:`abort_key` driven by the transaction's write set —
         this full-heap sweep exists as a fallback and for tests.
         """
-        touched = 0
+        undone = 0
         for key in list(self._chains):
-            touched += self.abort_key(key, xid)
-        return touched
+            undone += self.abort_key(key, xid)
+        return undone
 
     def abort_key(self, key: object, xid: int) -> int:
         """Undo ``xid``'s effects on one key's version chain."""
@@ -117,22 +150,24 @@ class MvccHeap:
         if chain is None:
             return 0
         self.mutations += 1
-        touched = 0
+        if self.touched is not None:
+            self._touch(key)
+        undone = 0
         kept = []
         for version in chain:
             if version.xmin == xid:
-                touched += 1
+                undone += 1
                 continue
             if version.xmax == xid:
                 version.xmax = INVALID_XID
-                touched += 1
+                undone += 1
             kept.append(version)
         if kept:
             self._chains[key] = kept
         else:
             del self._chains[key]
             del self._stamps[key]
-        return touched
+        return undone
 
     # -- read path ----------------------------------------------------------
 
@@ -144,7 +179,9 @@ class MvccHeap:
 
     def visible(self, snapshot: Snapshot, clog: StatusLog,
                 own_xid: int = INVALID_XID,
-                seen: Optional[Dict[int, bool]] = None
+                seen: Optional[Dict[int, bool]] = None,
+                refs: Optional[Dict[int, int]] = None,
+                keys: Optional[Iterable[object]] = None
                 ) -> Iterator[Tuple[object, Dict[str, object]]]:
         """Yield every visible (key, values) pair, in key insertion order.
 
@@ -161,14 +198,21 @@ class MvccHeap:
         raises (the chain dict changes size).
 
         ``seen`` is where the decisions are kept, xid -> visible, in the
-        order they were made; pass a dict to hold them after the walk.  The
-        walk consults only these xids, so while :attr:`mutations` holds, a
-        snapshot deciding each of them the same way yields the same rows.
+        order they were made; pass a dict to hold them after the walk (or
+        decisions made earlier under a snapshot that decides them the
+        same way).  The walk consults only these xids, so while
+        :attr:`mutations` holds, a snapshot deciding each of them the same
+        way yields the same rows.  ``refs``, when given, counts each
+        consultation of an xid, as :meth:`consulted` lists them per chain.
+        ``keys`` walks only those keys' chains, in that order.
         """
         if seen is None:
             seen = {}
+        chains = self._chains
+        items = chains.items() if keys is None else [
+            (key, chains[key]) for key in keys if key in chains]
         xid_visible = snapshot.xid_visible
-        for key, chain in self._chains.items():
+        for key, chain in items:
             # Newest-first, as _pick_visible: at most one version is visible.
             i = len(chain)
             while i:
@@ -178,6 +222,8 @@ class MvccHeap:
                 ok = seen.get(xmin)
                 if ok is None:
                     ok = seen[xmin] = xid_visible(xmin, clog, own_xid)
+                if refs is not None:
+                    refs[xmin] = refs.get(xmin, 0) + 1
                 if not ok:
                     continue
                 xmax = version.xmax
@@ -185,10 +231,30 @@ class MvccHeap:
                     gone = seen.get(xmax)
                     if gone is None:
                         gone = seen[xmax] = xid_visible(xmax, clog, own_xid)
+                    if refs is not None:
+                        refs[xmax] = refs.get(xmax, 0) + 1
                     if gone:
                         continue
                 yield key, version.values
                 break
+
+    @staticmethod
+    def consulted(headers: Sequence[Tuple[int, int]],
+                  seen: Dict[int, bool]) -> List[int]:
+        """The xids :meth:`visible` consults on a chain of these ``(xmin,
+        xmax)`` headers when it decides as ``seen`` did, once per
+        consultation: what it counted into ``refs`` for that chain."""
+        out = []
+        for xmin, xmax in reversed(headers):
+            out.append(xmin)
+            if not seen[xmin]:
+                continue
+            if xmax != INVALID_XID:
+                out.append(xmax)
+                if seen[xmax]:
+                    continue
+            break
+        return out
 
     def scan(self, snapshot: Snapshot, clog: StatusLog,
              own_xid: int = INVALID_XID) -> Iterator[Tuple[object, Dict[str, object]]]:
@@ -228,6 +294,8 @@ class MvccHeap:
             if len(kept) == len(chain):
                 continue
             self.mutations += 1
+            if self.touched is not None:
+                self._touch(key)
             if kept:
                 self._chains[key] = kept
             else:

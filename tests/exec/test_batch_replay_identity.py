@@ -93,11 +93,13 @@ def _query_metrics(cluster):
     ``htap.scans_*`` counts which storage path served a scan; the batch
     executor deliberately routes *more* scans through the column store
     (complex predicates included), so that counter legitimately grows.
-    Everything query-visible — rows, times, waits — must still match.
+    ``dn.image_*`` counts how lane scans kept row tables' column images,
+    which the row reference never reads.  Everything query-visible — rows,
+    times, waits — must still match.
     """
     _, flat = cluster.obs.metrics.snapshot()
     return {name: value for name, value in flat.items()
-            if not name.startswith("htap.scans_")}
+            if not name.startswith(("htap.scans_", "dn.image_"))}
 
 
 def _store_rows(engine):

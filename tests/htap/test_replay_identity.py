@@ -6,9 +6,10 @@ and a table ``t`` of the same name without ``orientation = column``.  A row
 table gets no HTAP state, so its scans run exactly the seed path — the
 heap walk into the node's column image.  Every query-visible surface —
 result rows, operator row counts, simulated elapsed time, wait accounting,
-the slow-query log — must match exactly.  The only permitted divergence is
-the merge daemon's own bookkeeping (``htap.*`` counters, the ``htap_merge``
-wait event).
+the slow-query log — must match exactly.  The only permitted divergences
+are the merge daemon's own bookkeeping (``htap.*`` counters, the
+``htap_merge`` wait event) and the row twin's (``dn.image_*``, how its lane
+scans kept the column image the column table never forms).
 
 The workload deliberately mixes float aggregation (chunk-boundary
 sensitive), updates, deletes and post-merge reads so the composed path is
@@ -56,10 +57,11 @@ def _query_waits(cluster):
 
 
 def _query_metrics(cluster):
-    """Metric snapshot excluding the subsystem's own counters."""
+    """Metric snapshot excluding each access path's own counters."""
     _, flat = cluster.obs.metrics.snapshot()
     return {name: value for name, value in flat.items()
-            if not name.startswith(("htap.", "wait.htap_merge"))}
+            if not name.startswith(("htap.", "wait.htap_merge",
+                                    "dn.image_"))}
 
 
 class TestReplayIdentity:

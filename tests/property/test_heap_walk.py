@@ -36,9 +36,17 @@ steps = st.lists(st.tuples(
     min_size=1, max_size=30)
 
 
+#: TEXT values a write picks from: values are seen again, and ``""`` is a
+#: value beside NULL.
+TEXTS = ("", "a", "b", "c", "d", "e")
+
+
 def _write(heap, ltm, op, key, xid, value):
     snapshot = ltm.local_snapshot()
-    row = {"k": key, "v": value, "w": None if value % 3 else f"w{value}"}
+    row = {"k": key,
+           # now and then an INT past int64: the walk types it as objects
+           "v": value if value % 12 != 5 else 2 ** 63 + value,
+           "w": None if value % 3 else TEXTS[value // 3 % len(TEXTS)]}
     if op in ("delete", "reinsert"):
         heap.delete(key, xid, snapshot, ltm.clog)
     if op == "update":
@@ -130,16 +138,22 @@ def test_rows_of_one_column_yields_one_tuples():
     assert list(schema.rows_of([(1, {"k": 1}), (2, {"k": 2})])) == [(1,), (2,)]
 
 
-# -- the column image a lane scan reuses ---------------------------------------
+# -- the column image a lane scan reuses and patches ---------------------------
 #
-# ``DataNode.scan_lanes`` serves a row table from the typed batches of its
-# last walk while the heap's mutation count holds and the snapshot decides
-# every xid that walk consulted the same way.  Under random programs —
-# writes that commit, abort, stay prepared or stay open, later resolutions
-# of the pending ones, rollbacks through ``abort_key``, vacuums — and scans
-# under fresh or older snapshots, plain or merged, with or without an open
-# xid's own writes, the image must equal a fresh walk row for row, and be
-# rebuilt exactly when the count or a recorded decision changed.
+# ``DataNode.scan_lanes`` serves a row table from the typed batch of an
+# earlier scan while the heap's mutation count holds and the snapshot
+# decides every recorded xid the same way, and patches it (only the keys
+# written since are decided again) while the heap's record of those keys
+# lasts.  Under random programs — writes that commit, abort, stay prepared
+# or stay open, later resolutions of the pending ones, rollbacks through
+# ``abort_key``, vacuums, deletes and re-inserts, TEXT values seen before
+# and new ones, NULLs beside ``""``, INT values past int64 — and scans under
+# fresh or older snapshots, plain or merged, with or without an open xid's
+# own writes, every scan must equal a fresh walk row for row and type for
+# type; the image must be the batch a fresh walk types (dtypes, validity,
+# TEXT dictionaries and codes) and record what a fresh walk records (the
+# xids it decides and how, how often each is consulted, the rows' stamps);
+# and it must be replaced exactly when the count or a decision changed.
 
 _write_step = st.tuples(
     st.just("write"), st.sampled_from(["insert", "update", "delete",
@@ -152,10 +166,23 @@ _scan_step = st.tuples(
     st.just("scan"), st.integers(-1, 30), st.booleans(),
     st.lists(st.booleans(), max_size=12), st.lists(st.booleans(), max_size=12),
     st.integers(-1, 30))
-programs = st.lists(st.one_of(_write_step, _resolve_step,
+#: A plain scan under a fresh snapshot: what a patch most often serves.
+_SCAN = ("scan", -1, False, [], [], -1)
+programs = st.lists(st.one_of(_write_step, _write_step, _resolve_step,
                               st.tuples(st.just("vacuum")), _scan_step,
-                              _scan_step),
-                    min_size=1, max_size=40)
+                              st.just(_SCAN)),
+                    min_size=8, max_size=40)
+#: A chain that vacuum removed, inserted again: it arrives anew, after the
+#: key that was behind it.
+_REINSERTED = [_SCAN, ("write", "insert", 0, "commit"),
+               ("write", "insert", 1, "commit"), _SCAN,
+               ("write", "delete", 0, "commit"), ("vacuum",),
+               ("write", "insert", 0, "commit"), _SCAN]
+#: Step 5 writes an INT past int64: the lane a walk types turns to objects,
+#: and back to int64 once that row is gone.
+_WIDENED = [("write", "insert", 0, "commit"), _SCAN, _SCAN, _SCAN, _SCAN,
+            ("write", "insert", 1, "commit"), _SCAN,
+            ("write", "delete", 1, "commit"), _SCAN]
 
 
 def _image_rows(batches):
@@ -164,10 +191,32 @@ def _image_rows(batches):
     return list(rows_from_batches(batches))
 
 
-@given(programs, st.sampled_from([2, 1024]))
-@settings(max_examples=250, deadline=None)
-def test_image_scan_is_a_fresh_walk_and_rebuilds_exactly_when_stale(
-        program, batch_rows):
+def test_image_scans_are_fresh_walks_and_images_are_patched():
+    patches = []
+
+    @given(programs, st.sampled_from([2, 1024]))
+    @settings(max_examples=250, deadline=None)
+    @example(program=_REINSERTED, batch_rows=1024)
+    @example(program=_WIDENED, batch_rows=2)
+    def scans_are_fresh_walks(program, batch_rows):
+        patches.append(_run_image_program(program, batch_rows))
+
+    scans_are_fresh_walks()
+    # a design that walks again after every write passes every check above:
+    # patches must happen (the programs write TEXT values both seen and
+    # unseen, so walking on an unseen one would not hide them all)
+    assert sum(patches) > 0
+
+
+#: Keys no program writes, loaded first: an image holds more rows than a
+#: program writes keys, so a patch has untouched rows to keep.  Their
+#: TEXT values are some of ``TEXTS``: the others arrive unseen.
+BACKGROUND = range(30, 40)
+
+
+def _run_image_program(program, batch_rows):
+    """Run ``program`` on a data node over the ``BACKGROUND`` rows; returns
+    how many scans patched."""
     import pytest
 
     import repro.exec.batch as batch_mod
@@ -177,9 +226,13 @@ def test_image_scan_is_a_fresh_walk_and_rebuilds_exactly_when_stale(
     dn.create_table(SCHEMA)
     heap, ltm = dn.heap("t"), dn.ltm
     clog = ltm.clog
+    loader = ltm.begin()
+    for key in BACKGROUND:
+        _write(heap, ltm, "insert", key, loader, key)
+    ltm.commit(loader)
     pending = []                # (xid, key) still prepared or open
     snapshots = [ltm.local_snapshot()]
-    committed, prepared = [], []
+    committed, prepared = [loader], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batch_mod, "DEFAULT_BATCH_SIZE", batch_rows)
         for index, step in enumerate(program):
@@ -232,6 +285,7 @@ def test_image_scan_is_a_fresh_walk_and_rebuilds_exactly_when_stale(
                            if open_xids and own >= 0 else INVALID_XID)
                 _check_image_scan(dn, heap, snapshot, clog, own_xid,
                                   batch_rows)
+    return dn._n_patches
 
 
 def _check_image_scan(dn, heap, snapshot, clog, own_xid, batch_rows):
@@ -239,28 +293,56 @@ def _check_image_scan(dn, heap, snapshot, clog, own_xid, batch_rows):
     stale = before is None or heap.mutations != before.mutations or any(
         snapshot.xid_visible(x, clog, own_xid) != ok
         for x, ok in before.decisions.items())
-    fresh_decisions = {}
-    fresh = list(SCHEMA.rows_of(
-        heap.visible(snapshot, clog, own_xid, fresh_decisions)))
+    fresh_decisions, fresh_refs = {}, {}
+    items = list(heap.visible(snapshot, clog, own_xid, fresh_decisions,
+                              fresh_refs))
+    fresh = list(SCHEMA.rows_of(items))
     n_scan, n_rows = dn._n_scan, dn._n_rows
 
     batches = list(dn.scan_lanes("t", snapshot, own_xid))
 
-    assert _image_rows(batches) == fresh
+    rows = _image_rows(batches)
+    assert rows == fresh
+    assert [tuple(map(type, row)) for row in rows] == [
+        tuple(map(type, row)) for row in fresh]
     assert dn._n_scan == n_scan + 1 and dn._n_rows == n_rows + len(fresh)
     assert [b.n for b in batches] == [
         min(batch_rows, len(fresh) - start)
         for start in range(0, len(fresh), batch_rows)]
     image = dn._images["t"]
     assert (image is not before) == stale
-    # a served image is exact: the fresh walk consulted the same xids, in
-    # the same order, and decided them the same way
-    assert list(image.decisions.items()) == list(fresh_decisions.items())
+    # an image records what a fresh walk records: the same xids decided
+    # the same way (in any order), each consulted as often, the same stamps
+    assert image.decisions == fresh_decisions
+    assert image.refs == fresh_refs
+    assert image.stamps.tolist() == [heap.stamp_of(k) for k, _ in items]
+    _assert_typed_as_a_walk(image.batch, fresh)
     for batch in batches:           # shared by every scan it serves
         for vec in batch.columns:
             assert not vec.validity.flags.writeable
             assert not (vec.codes if vec.codes is not None
                         else vec.data).flags.writeable
+
+
+def _assert_typed_as_a_walk(batch, fresh):
+    """``batch`` holds the lanes ``batch_of_rows`` types from ``fresh``."""
+    from repro.exec.batch import batch_of_rows
+
+    if not fresh:
+        assert batch is None
+        return
+    walked = batch_of_rows(fresh, [c.data_type for c in SCHEMA.columns])
+    assert batch.n == walked.n
+    for got, want in zip(batch.columns, walked.columns):
+        assert got.validity.tolist() == want.validity.tolist()
+        if want.dictionary is None:
+            assert got.dictionary is None
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tolist() == want.data.tolist()
+        else:
+            assert got.dictionary.tolist() == want.dictionary.tolist()
+            assert got.codes.dtype == want.codes.dtype
+            assert got.codes.tolist() == want.codes.tolist()
 
 
 def test_image_is_reused_until_a_write_or_a_resolution_changes_a_decision():
